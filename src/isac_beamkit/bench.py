@@ -242,16 +242,16 @@ def run_scheme(
     t_start = time.perf_counter()
     ao_options = dict(ao_options or {})
 
+    if engine is None:
+        engine = PcrbEngine(scenario)
+
     if scheme.kind is SchemeKind.FULLY_DIGITAL:
         sc = _fully_digital_scenario(scenario)
-        return _convex_exact(sc, PcrbEngine(sc), t_start)
+        return _convex_exact(sc, engine.for_scenario(sc), t_start)
 
     if scheme.kind is SchemeKind.FD_RECEIVE:
         sc = _fd_receive_scenario(scenario)
-        return _dispatch_ao(sc, PcrbEngine(sc), ao_options)
-
-    if engine is None:
-        engine = PcrbEngine(scenario)
+        return _dispatch_ao(sc, engine.for_scenario(sc), ao_options)
 
     if scheme.kind is SchemeKind.PROPOSED:
         return _dispatch_ao(scenario, engine, ao_options)
@@ -281,7 +281,7 @@ def run_scheme(
             arrays.rx_architecture,
         )
         sc = scenario.replace(arrays=fd_tx)
-        eng = PcrbEngine(sc)
+        eng = engine.for_scenario(sc)
         k = sc.subcarriers
         r0 = [np.eye(arrays.n_tx, dtype=complex) * (sc.power / arrays.n_tx / k)] * k
         init = HybridDesign(None, tuple(r0), default_rx(fd_tx))

@@ -615,6 +615,11 @@ def execute(cfg: RunConfig) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 is reserved for an infeasible rate; any other failure is a
+        # configuration or solver error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:

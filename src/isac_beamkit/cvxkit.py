@@ -6,10 +6,12 @@ Three pieces, all deterministic and dependency-free beyond numpy/scipy:
   * a log-barrier interior-point solver for convex QCQPs with linear
     objective (hosts the slack-penalized analog-beamforming subproblems);
   * the rate-constrained trace-maximization solver for the transmit digital
-    covariance, via Lagrange duality with two scalar multipliers: an inner
-    closed-form water-filling and nested root-finding on the power and rate
-    complementarity conditions. The same routine covers the per-subcarrier
-    case (one covariance per carrier, average-rate constraint).
+    covariance, via Lagrange duality with two scalar multipliers: at a
+    power dual mu the Lagrangian's maximizer is a water-filling whose level
+    (the rate dual) exhausts the power budget in closed form, and one
+    monotone root search over mu meets the rate target. The same routine
+    covers the per-subcarrier case (one covariance per carrier,
+    average-rate constraint).
 """
 
 from __future__ import annotations
@@ -382,6 +384,18 @@ def solve_convex_qcqp(
 # water-filling and the rate-constrained trace maximization
 # ---------------------------------------------------------------------------
 
+def _fill_level(inv: np.ndarray, weights: np.ndarray, budget: float) -> float:
+    """Level c with sum_i weights_i * (c - inv_i)^+ = budget, inv ascending.
+
+    The left side is increasing and piecewise linear in c. With the first
+    j+1 entries active it equals budget at (budget + sum w*inv) / sum w, and
+    that candidate lies above inv_j exactly for the active prefix, so the
+    last such j gives the level.
+    """
+    levels = (budget + np.cumsum(weights * inv)) / np.cumsum(weights)
+    return float(levels[np.nonzero(levels > inv)[0][-1]])
+
+
 def waterfill(gains: np.ndarray, budget: float, noise: float) -> tuple[np.ndarray, float]:
     """maximize sum log(1 + p_i g_i / noise) s.t. sum p <= budget, p >= 0.
 
@@ -392,17 +406,9 @@ def waterfill(gains: np.ndarray, budget: float, noise: float) -> tuple[np.ndarra
     if budget <= 0 or not pos.any():
         return np.zeros_like(gains), 0.0
     inv = noise / gains[pos]
-    order = np.argsort(inv)
-    inv_sorted = inv[order]
-    # water level if the first j+1 channels are active
-    csum = np.cumsum(inv_sorted)
-    levels = (budget + csum) / (np.arange(inv_sorted.size) + 1)
-    active = levels > inv_sorted
-    j = int(np.nonzero(active)[0][-1])
-    level = float(levels[j])
-    p_pos = np.maximum(level - inv, 0.0)
+    level = _fill_level(np.sort(inv), np.ones(inv.size), budget)
     p = np.zeros_like(gains)
-    p[pos] = p_pos
+    p[pos] = np.maximum(level - inv, 0.0)
     return p, level
 
 
@@ -461,6 +467,55 @@ def _exact_rate(h_list: list[np.ndarray], r_list: list[np.ndarray], noise: float
     return total / len(h_list)
 
 
+@dataclass
+class _DualPoint:
+    """The Lagrangian's maximizer at one power dual mu, up to its water level.
+
+    Per (carrier, mode): the whitened gain, the power and the sensing
+    objective that one unit of allocation costs and earns. `level` is the
+    per-carrier water level beta/K.
+    """
+
+    mu: float
+    s: np.ndarray        # (n,) column scales (mu - lam)^-1/2
+    vh: np.ndarray       # (K, modes, n) right singular vectors
+    gains: np.ndarray    # (K, modes)
+    power_w: np.ndarray  # (K, modes)
+    sense_w: np.ndarray  # (K, modes)
+    noise: float
+    level: float
+
+    @property
+    def alloc(self) -> np.ndarray:
+        alloc = np.maximum(self.level - self.noise / np.maximum(self.gains, 1e-300), 0.0)
+        alloc[self.gains <= 0] = 0.0
+        return alloc
+
+    @property
+    def power(self) -> float:
+        return float((self.alloc * self.power_w).sum())
+
+    @property
+    def objective(self) -> float:
+        return float((self.alloc * self.sense_w).sum())
+
+    @property
+    def rate(self) -> float:
+        return float(np.log1p(self.alloc * self.gains / self.noise).sum()) / self.gains.shape[0]
+
+    def rate_level(self, rate: float) -> float:
+        """Water level at which the modes carry average rate `rate`.
+
+        An active mode carries log(level / inv), inv = noise/gain; with the
+        first n modes active, log level = (K rate + sum log inv) / n, and the
+        same prefix argument as in _fill_level picks n.
+        """
+        inv = np.sort(self.noise / self.gains[self.gains > 0])
+        k_rate = self.gains.shape[0] * rate
+        levels = np.exp((k_rate + np.cumsum(np.log(inv))) / np.arange(1, inv.size + 1))
+        return float(levels[np.nonzero(levels > inv)[0][-1]])
+
+
 class _DualPoints:
     """Inner maximizer of the Lagrangian, evaluated in the (A, G) eigenbasis.
 
@@ -469,39 +524,43 @@ class _DualPoints:
     F F^H = (mu G - A)^-1, F^H G F = diag(s^2) and F^H A F = diag(lam s^2).
     The whitened channels H_k F(mu) are the fixed B_k = H_k G^-1/2 U with
     scaled columns, so a dual point costs one batched SVD and no
-    eigendecomposition, and the covariances are formed only on request.
+    eigendecomposition. At duals (mu, beta) the maximizer is
+    R_k = F V_k diag(p_k) V_k^H F^H, water-filled at the level beta/K over
+    the mode gains g; mode j of carrier k costs w = sum_i |V_ij|^2 s_i^2
+    power per unit of p. For a given mu the beta that exhausts the budget,
+    sum w (beta/K - noise/g)^+ = P, is therefore exact by sorting the
+    breakpoints noise/g, and a point is one SVD per mu. The covariances are
+    formed only on request.
     """
 
-    def __init__(self, a_eff: np.ndarray, g_eff: np.ndarray, h_list: list[np.ndarray]):
+    def __init__(self, a_eff: np.ndarray, g_eff: np.ndarray, h_list: list[np.ndarray], noise: float):
         g_inv_half = _inv_sqrt_psd(g_eff)
         a_w = g_inv_half @ a_eff @ g_inv_half
         self.lam, u = np.linalg.eigh(0.5 * (a_w + a_w.conj().T))
         self.basis = g_inv_half @ u
         self.b = np.stack([h @ self.basis for h in h_list])
-        self.k_sub = len(h_list)
+        self.noise = noise
 
-    def point(self, mu: float, beta: float, noise: float, covariances: bool = False):
-        """Water-filling at duals (mu, beta), mu above the top eigenvalue.
-
-        Per-carrier water level beta/K on the whitened channels. Returns
-        (R_k list or None, power, rate, objective)."""
+    def point(self, mu: float, power: float) -> _DualPoint:
+        """Maximizer at mu (above the top eigenvalue), its level exhausting `power`."""
         s = 1.0 / np.sqrt(mu - self.lam)
         _, sv, vh = np.linalg.svd(self.b * s, full_matrices=False)
         gains = sv**2
-        alloc = np.maximum(beta / self.k_sub - noise / np.maximum(gains, 1e-300), 0.0)
-        alloc[gains <= 0] = 0.0
         mode_w = np.abs(vh) ** 2 * s**2          # (K, modes, n): |F v_j| weights
-        power = float(np.einsum("km,kmi->", alloc, mode_w))
-        objective = float(np.einsum("km,kmi,i->", alloc, mode_w, self.lam))
-        rate = float(np.log1p(alloc * gains / noise).sum()) / self.k_sub
-        r_list = None
-        if covariances:
-            r_list = []
-            for vh_k, alloc_k in zip(vh, alloc):
-                fv = (self.basis * s) @ vh_k.conj().T
-                r = (fv * alloc_k) @ fv.conj().T
-                r_list.append(0.5 * (r + r.conj().T))
-        return r_list, power, rate, objective
+        power_w = mode_w.sum(axis=2)
+        pos = gains > 0
+        inv = self.noise / gains[pos]
+        order = np.argsort(inv)
+        level = _fill_level(inv[order], power_w[pos][order], power)
+        return _DualPoint(mu, s, vh, gains, power_w, mode_w @ self.lam, self.noise, level)
+
+    def covariances(self, pt: _DualPoint) -> list[np.ndarray]:
+        r_list = []
+        for vh_k, alloc_k in zip(pt.vh, pt.alloc):
+            fv = (self.basis * pt.s) @ vh_k.conj().T
+            r = (fv * alloc_k) @ fv.conj().T
+            r_list.append(0.5 * (r + r.conj().T))
+        return r_list
 
 
 def rate_constrained_trace_max_multi(
@@ -516,9 +575,13 @@ def rate_constrained_trace_max_multi(
 
     A = a_eff (PSD), Gram G = g_eff (PD), per-carrier channels h_list. Strong
     duality holds (convex, Slater point from the capacity solution), so the
-    optimum is recovered from two scalar duals: mu (power) found by
-    root-finding at every beta (rate), and beta found by root-finding on the
-    achieved rate.
+    optimum is recovered from two scalar duals: mu (power) and beta (rate).
+    For each mu the budget-exhausting beta is exact (see _DualPoints); along
+    that curve beta and the achieved rate increase with mu, so one monotone
+    root search in log(mu - lam_max) for rate(mu) = target gives both duals.
+    If water-filling meets the rate without the whole budget even at the
+    smallest mu, mu stays there, the level is lowered to the rate and the
+    remaining power goes on the top sensing direction.
     """
     a_eff = 0.5 * (np.asarray(a_eff) + np.asarray(a_eff).conj().T)
     g_eff = 0.5 * (np.asarray(g_eff) + np.asarray(g_eff).conj().T)
@@ -564,74 +627,55 @@ def rate_constrained_trace_max_multi(
     if rate_target > c_max + 1e-12:
         raise RateInfeasibleError(rate_target, c_max)
 
-    duals = _DualPoints(a_eff, g_eff, h_list)
+    duals = _DualPoints(a_eff, g_eff, h_list, noise)
     lam_hi = max(lam_top, float(duals.lam[-1]))
-    mu_floor = lam_hi + max(1e-12 * max(lam_hi, 1.0), 1e-300)
+    u_floor = math.log(max(1e-12 * max(lam_hi, 1.0), 1e-300))
+    pts = {u_floor: duals.point(lam_hi + math.exp(u_floor), power)}
+    if pts[u_floor].rate >= rate_target:
+        # even the smallest mu meets the rate without the whole budget: lower
+        # the level to the rate and put the rest on the top sensing direction
+        # (zero reduced cost there)
+        pt = pts[u_floor]
+        pt.level = pt.rate_level(rate_target)
+        r_list = duals.covariances(pt)
+        deficit = power - pt.power
+        r_list[0] = r_list[0] + deficit * np.outer(x_top, x_top.conj())
+        rate = _exact_rate(h_list, r_list, noise)
+        return TraceMaxResult(
+            r_list, pt.objective + deficit * lam_top, rate, power, k_sub * pt.level, pt.mu, "dual"
+        )
 
-    def solve_mu(beta: float, covariances: bool = True):
-        """Power complementarity: find mu with total power == budget."""
-        def pow_gap(mu):
-            _, p, _, _ = duals.point(mu, beta, noise)
-            return p - power
+    def gap(u):
+        if u not in pts:
+            pts[u] = duals.point(lam_hi + math.exp(u), power)
+        return pts[u].rate - rate_target
 
-        lo = mu_floor
-        gap_lo = pow_gap(lo)
-        if gap_lo <= 0.0:
-            # power cannot be exhausted by the water-filling part; park the
-            # deficit on the top sensing direction (zero reduced cost there)
-            r_list, p, _, obj = duals.point(lo, beta, noise, covariances=True)
-            deficit = power - p
-            r_list[0] = r_list[0] + deficit * np.outer(x_top, x_top.conj())
-            rate_new = _exact_rate(h_list, r_list, noise)
-            return r_list, power, rate_new, obj + deficit * lam_top, lo
-        hi = max(2.0 * lam_top, lam_top + 1.0, scale_a / max(scale_g, 1e-300))
-        for _ in range(300):
-            if pow_gap(hi) < 0:
-                break
-            hi *= 4.0
+    # the optima sit within a few decades of mu = 2 lam_max: walk windows of
+    # three decades of mu - lam_max from there until one holds the root (the
+    # rate tends to the capacity as mu grows, so an upper end exists)
+    step = math.log(1e3)
+    hi = max(math.log(lam_hi), u_floor + step)
+    lo = hi - step
+    for _ in range(60):
+        if gap(hi) < 0:
+            lo, hi = hi, hi + step
+        elif lo > u_floor and gap(lo) >= 0:
+            lo, hi = lo - step, lo
         else:
-            raise SolverError("power bracket not found")
-        mu = brentq(pow_gap, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=300)
-        r_list, p, rate, obj = duals.point(mu, beta, noise, covariances)
-        return r_list, p, rate, obj, mu
-
-    # scale for beta: water levels live around K * noise / typical gain
-    probe = _inv_sqrt_psd(2.0 * max(lam_top, 1e-300) * g_eff - a_eff + 1e-30 * np.eye(a_eff.shape[0]))
-    h_ref = max(
-        float(scipy.linalg.svdvals(h @ probe).max()) ** 2 for h in h_list
-    )
-    beta_scale = k_sub * noise / max(h_ref, 1e-300)
-
-    rates: dict[float, float] = {}
-
-    def rate_at(beta):
-        if beta not in rates:
-            rates[beta] = solve_mu(beta, covariances=False)[2]
-        return rates[beta]
-
-    b_lo, b_hi = beta_scale * 1e-8, beta_scale
-    for _ in range(300):
-        if rate_at(b_hi) >= rate_target:
             break
-        b_hi *= 4.0
     else:
         raise SolverError("rate bracket not found")
-    for _ in range(300):
-        if rate_at(b_lo) < rate_target:
-            break
-        b_hi = b_lo
-        b_lo *= 0.25
-    beta = brentq(
-        lambda b: rate_at(b) - rate_target, b_lo, b_hi, xtol=1e-300, rtol=1e-14, maxiter=300
-    )
-    r_list, used, rate, obj, mu = solve_mu(beta)
+    u = brentq(gap, max(lo, u_floor), hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
+    gap(u)
+    pt = pts[u]
     # land on the feasible side of the rate constraint
     for _ in range(60):
-        if rate >= rate_target - 1e-9:
+        if pt.rate >= rate_target - 1e-9:
             break
-        beta *= 1.0 + 1e-12
-        r_list, used, rate, obj, mu = solve_mu(beta)
-    return TraceMaxResult(r_list, obj, rate, used, beta, mu, "dual")
+        pt = duals.point(pt.mu * (1.0 + 1e-12), power)
+    return TraceMaxResult(
+        duals.covariances(pt), pt.objective, pt.rate, pt.power, k_sub * pt.level, pt.mu, "dual"
+    )
 
 
 def rate_constrained_trace_max(

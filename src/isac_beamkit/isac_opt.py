@@ -44,7 +44,7 @@ from .designs import (
     default_rx,
     digital_factor,
 )
-from .model import Scenario
+from .model import ArrayConfig, Scenario
 from .pcrb import PcrbEngine
 from .sensing_opt import (
     _initial_r_bb,
@@ -406,15 +406,13 @@ def optimal_rbb_isac(
 
 
 def _optimal_rbb_design(
-    scenario: Scenario,
-    engine: PcrbEngine,
-    design: HybridDesign,
-    a1_fn: Optional[Callable] = None,
+    scenario: Scenario, design: HybridDesign, a_tilde: np.ndarray
 ) -> tuple[HybridDesign, TraceMaxResult]:
-    """Re-solve the digital covariances for the design's analog parts."""
+    """Re-solve the digital covariances for the design's analog parts.
+
+    a_tilde is the sensing integral A1 of the design's receive matrix.
+    """
     arrays = scenario.arrays
-    w = design.rx.matrix(arrays)
-    a_tilde = (a1_fn or engine.a1)(w)
     h_list = scenario.channel.per_subcarrier()
     v = design.v_rf
     if v is None:
@@ -427,6 +425,31 @@ def _optimal_rbb_design(
         a_eff, g_eff, h_eff, scenario.power, scenario.rate_target, scenario.noise_comm
     )
     return HybridDesign(v, tuple(res.r_bb), design.rx), res
+
+
+class _TraceObjective:
+    """PCRB of a design from the trace against a1_fn (A1 or a surrogate).
+
+    Designs of one AO run share their receive descriptor until the receive
+    block replaces it, so keeping the last (descriptor, A1) pair evaluates
+    A1 once per receive matrix.
+    """
+
+    def __init__(self, engine: PcrbEngine, arrays: ArrayConfig, a1_fn: Callable):
+        self.engine = engine
+        self.arrays = arrays
+        self.a1_fn = a1_fn
+        self._rx = self._a1 = None
+
+    def a1(self, rx) -> np.ndarray:
+        if rx is not self._rx:
+            self._rx, self._a1 = rx, self.a1_fn(rx.matrix(self.arrays))
+        return self._a1
+
+    def __call__(self, design: HybridDesign) -> float:
+        a1 = self.a1(design.rx)
+        tr = sum(np.trace(a1 @ t).real for t in design.tx_covariances())
+        return self.engine.pcrb_from_trace(design.rx.kappa(self.arrays), tr)
 
 
 def init_random_phase(
@@ -445,6 +468,7 @@ def init_random_phase(
         raise ValueError("n_rand must be >= 1")
     if engine is None:
         engine = PcrbEngine(scenario)
+    pcrb_of = _TraceObjective(engine, scenario.arrays, engine.a1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x1A,)))
     best: Optional[HybridDesign] = None
     best_pcrb = np.inf
@@ -452,12 +476,12 @@ def init_random_phase(
     for _ in range(n_rand):
         cand = random_sensing_design(scenario, rng)
         try:
-            cand, res = _optimal_rbb_design(scenario, engine, cand)
+            cand, res = _optimal_rbb_design(scenario, cand, pcrb_of.a1(cand.rx))
         except RateInfeasibleError as exc:
             best_rate = max(best_rate, exc.max_rate)
             continue
         best_rate = max(best_rate, res.rate)
-        pcrb = engine.pcrb(cand)
+        pcrb = pcrb_of(cand)
         if pcrb < best_pcrb:
             best, best_pcrb = cand, pcrb
     if best is None:
@@ -478,7 +502,7 @@ def _start_design(
     engine: PcrbEngine,
     n_init: int,
     init_design: Optional[HybridDesign],
-    a1_fn: Callable,
+    objective: _TraceObjective,
 ) -> HybridDesign:
     """Rate-feasible starting point of the rate-constrained AO.
 
@@ -494,7 +518,7 @@ def _start_design(
     if init_design is not None:
         if _feasible(scenario, init_design):
             return init_design
-        return _optimal_rbb_design(scenario, engine, init_design, a1_fn)[0]
+        return _optimal_rbb_design(scenario, init_design, objective.a1(init_design.rx))[0]
     try:
         return init_random_phase(scenario, n_init, scenario.seed, engine)
     except RateInfeasibleError as exc:
@@ -504,7 +528,7 @@ def _start_design(
         v = np.exp(1j * np.angle(vec[:, : arrays.n_rf_tx]))
         cand = HybridDesign(v, tuple(_initial_r_bb(scenario, arrays.n_rf_tx)), default_rx(arrays))
         try:
-            return _optimal_rbb_design(scenario, engine, cand)[0]
+            return _optimal_rbb_design(scenario, cand, engine.a1(cand.rx.matrix(arrays)))[0]
         except RateInfeasibleError as exc2:
             raise RateInfeasibleError(
                 scenario.rate_target, max(exc.max_rate, exc2.max_rate)
@@ -537,17 +561,12 @@ def ao_isac(
     if engine is None:
         engine = PcrbEngine(scenario)
     arrays = scenario.arrays
-    a1_fn = a1_fn or engine.a1
+    surrogate = _TraceObjective(engine, arrays, a1_fn or engine.a1)
     btilde_fn = btilde_fn or engine.b_tilde
 
-    def surrogate(design: HybridDesign) -> float:
-        w = design.rx.matrix(arrays)
-        kappa = design.rx.kappa(arrays)
-        tr = sum(np.trace(a1_fn(w) @ t).real for t in design.tx_covariances())
-        return engine.pcrb_from_trace(kappa, tr)
-
-    design = _start_design(scenario, engine, n_init, init_design, a1_fn)
-    trace = [surrogate(design)]
+    design = _start_design(scenario, engine, n_init, init_design, surrogate)
+    current = surrogate(design)
+    trace = [current]
     h = scenario.channel.per_subcarrier()[0]
 
     converged = False
@@ -556,8 +575,7 @@ def ao_isac(
         analog_failed = False
         # --- transmit analog (+ immediate digital re-solve) ---------------
         if design.v_rf is not None and not fixed_v:
-            w = design.rx.matrix(arrays)
-            a_tilde = a1_fn(w)
+            a_tilde = surrogate.a1(design.rx)
             v_bar = _vec(design.v_rf)
             r_bb = design.r_bb[0]
             for _round in range(wmmse_rounds):
@@ -581,21 +599,23 @@ def ao_isac(
                     _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx), design.r_bb, design.rx
                 )
                 try:
-                    cand, _ = _optimal_rbb_design(scenario, engine, cand, a1_fn)
-                    if surrogate(cand) <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
-                        if surrogate(cand) < trace[-1]:
+                    cand, _ = _optimal_rbb_design(scenario, cand, a_tilde)
+                    value = surrogate(cand)
+                    if value <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
+                        if value < trace[-1]:
                             changed = True
-                        design = cand
+                        design, current = cand, value
                 except RateInfeasibleError:
                     pass
         else:
             # analog transmit fixed: keep the digital covariance optimal
             try:
-                cand, _ = _optimal_rbb_design(scenario, engine, design, a1_fn)
-                if surrogate(cand) <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
-                    if surrogate(cand) < trace[-1] * (1 - 1e-12):
+                cand, _ = _optimal_rbb_design(scenario, design, surrogate.a1(design.rx))
+                value = surrogate(cand)
+                if value <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
+                    if value < trace[-1] * (1 - 1e-12):
                         changed = True
-                    design = cand
+                    design, current = cand, value
             except RateInfeasibleError:
                 pass
 
@@ -609,12 +629,13 @@ def ao_isac(
                 pi = receive_quadratic(b_tilde, arrays.n_rf_rx)
                 rx_new = RxPhases(coordinate_update_receive(design.rx.d, pi))
             cand = HybridDesign(design.v_rf, design.r_bb, rx_new)
-            if surrogate(cand) <= trace[-1] * (1 + 1e-12):
-                if surrogate(cand) < trace[-1] * (1 - 1e-12):
+            value = surrogate(cand)
+            if value <= trace[-1] * (1 + 1e-12):
+                if value < trace[-1] * (1 - 1e-12):
                     changed = True
-                design = cand
+                design, current = cand, value
 
-        trace.append(surrogate(design))
+        trace.append(current)
         if abs(trace[-2] - trace[-1]) <= tol * trace[-2] or not changed:
             # a stop caused by an analog block the solver could not
             # evaluate is not convergence

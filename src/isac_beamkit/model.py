@@ -142,6 +142,8 @@ class GmmAnglePrior:
         w, mu, var = (np.asarray(x, dtype=float) for x in (self.weights, self.means, self.variances))
         if not (w.shape == mu.shape == var.shape) or w.ndim != 1 or w.size == 0:
             raise ModelError("prior components must be parallel 1-d arrays")
+        if not (np.isfinite(w).all() and np.isfinite(mu).all() and np.isfinite(var).all()):
+            raise ModelError("prior components must be finite")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ModelError(f"mixture weights sum to {w.sum()!r}, expected 1")
         if np.any(w < 0):
@@ -233,8 +235,8 @@ class ReflectionPrior:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ModelError("gamma must be nonnegative")
+        if not math.isfinite(self.gamma) or self.gamma < 0:
+            raise ModelError("gamma must be finite and nonnegative")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         s = math.sqrt(self.gamma / 2.0)
@@ -402,6 +404,9 @@ class Scenario:
     channel_spec: Optional[ChannelSpec] = field(default=None)
 
     def __post_init__(self):
+        for name in ("power", "noise_comm", "noise_sense", "rate_target"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.power < 0:
             raise ModelError("power must be nonnegative")
         if self.noise_comm <= 0 or self.noise_sense <= 0:
@@ -419,6 +424,8 @@ class Scenario:
                 f"channel has {self.channel.n_subcarriers} sub-carriers, "
                 f"scenario declares {self.subcarriers}"
             )
+        if not all(np.isfinite(h).all() for h in self.channel.per_subcarrier()):
+            raise ModelError("channel entries must be finite")
         n_user, n_tx = self.channel.per_subcarrier()[0].shape
         if (n_user, n_tx) != (self.arrays.n_user, self.arrays.n_tx):
             raise ModelError(

@@ -3,7 +3,7 @@
 The angle information adds across sub-carriers through the trace sum, the
 rate constraint averages the per-subcarrier log-dets, and one analog matrix
 serves all carriers. The digital stage is solved exactly by the shared
-two-dual water-filling solver; the analog stage stacks the per-subcarrier
+Lagrange-dual water-filling solver; the analog stage stacks the per-subcarrier
 WMMSE surrogates into a single slack-penalized SCA subproblem.
 """
 
@@ -19,12 +19,14 @@ from .designs import AoReport, HybridDesign, RxDft, RxIdentity, RxPhases, achiev
 from .isac_opt import (
     FppScaState,
     WmmseAux,
+    _TraceObjective,
     _feasible,
     _optimal_rbb_design,
     _run_fpp_sca,
     _start_design,
     _unvec,
     _vec,
+    ao_isac,
     wmmse_update,
 )
 from .model import Scenario
@@ -60,8 +62,8 @@ def optimal_rbb_ofdm(
 ):
     """Per-subcarrier digital covariances for fixed analog beamforming.
 
-    Shares the two-dual water-filling solver with the narrowband path; the
-    power dual is common to all carriers and the rate dual sets a common
+    Shares the Lagrange-dual water-filling solver with the narrowband path;
+    the power dual is common to all carriers and the rate dual sets a common
     water level over the whitened per-carrier eigenmodes.
     """
     if v_rf is None:
@@ -150,17 +152,19 @@ def ao_p2(
     a1_fn=None,
     btilde_fn=None,
 ) -> AoReport:
-    """OFDM ISAC alternating optimization (K=1 delegates to the narrowband loop).
+    """OFDM ISAC alternating optimization (K=1 runs the narrowband loop).
 
     Blocks per outer iteration: common analog matrix via stacked
     WMMSE/FPP-SCA with an immediate exact digital re-solve, then the receive
     update against the carrier-summed integral. Every block is committed
     only if the PCRB does not increase and the iterate stays feasible.
     """
+    if scenario.rate_target <= 0:
+        if engine is None:
+            engine = PcrbEngine(scenario)
+        return ao_p0(scenario, engine)
     if scenario.subcarriers == 1:
-        from .isac_opt import ao_p1
-
-        return ao_p1(
+        return ao_isac(
             scenario,
             engine,
             n_init=n_init,
@@ -169,36 +173,31 @@ def ao_p2(
             sca_iters=sca_iters,
             tol=tol,
             eps=eps,
+            init_design=init_design,
+            fixed_v=fixed_v,
+            update_rx=update_rx,
+            a1_fn=a1_fn,
+            btilde_fn=btilde_fn,
         )
-    if scenario.rate_target <= 0:
-        if engine is None:
-            engine = PcrbEngine(scenario)
-        return ao_p0(scenario, engine)
 
     t_start = time.perf_counter()
     if engine is None:
         engine = PcrbEngine(scenario)
     arrays = scenario.arrays
     h_list = scenario.channel.per_subcarrier()
-    a1_fn = a1_fn or engine.a1
+    objective = _TraceObjective(engine, arrays, a1_fn or engine.a1)
     btilde_fn = btilde_fn or engine.b_tilde
 
-    def objective(design: HybridDesign) -> float:
-        w = design.rx.matrix(arrays)
-        kappa = design.rx.kappa(arrays)
-        tr = sum(np.trace(a1_fn(w) @ t).real for t in design.tx_covariances())
-        return engine.pcrb_from_trace(kappa, tr)
-
-    design = _start_design(scenario, engine, n_init, init_design, a1_fn)
-    trace = [objective(design)]
+    design = _start_design(scenario, engine, n_init, init_design, objective)
+    current = objective(design)
+    trace = [current]
 
     converged = False
     for _ in range(max_outer):
         changed = False
         analog_failed = False
+        a_tilde = objective.a1(design.rx)
         if design.v_rf is not None and not fixed_v:
-            w = design.rx.matrix(arrays)
-            a_tilde = a1_fn(w)
             v_bar = _vec(design.v_rf)
             for _round in range(wmmse_rounds):
                 v_cur = _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx)
@@ -219,25 +218,19 @@ def ao_p2(
                     analog_failed = True
                     break
                 v_bar = _vec(v_new)
-            if not analog_failed:
-                cand = HybridDesign(
-                    _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx), design.r_bb, design.rx
-                )
-                try:
-                    cand, _ = _optimal_rbb_design(scenario, engine, cand, a1_fn)
-                    if objective(cand) <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
-                        if objective(cand) < trace[-1] * (1 - 1e-12):
-                            changed = True
-                        design = cand
-                except RateInfeasibleError:
-                    pass
+            cand = HybridDesign(
+                _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx), design.r_bb, design.rx
+            )
         else:
+            cand = design
+        if not analog_failed:
             try:
-                cand, _ = _optimal_rbb_design(scenario, engine, design, a1_fn)
-                if objective(cand) <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
-                    if objective(cand) < trace[-1] * (1 - 1e-12):
+                cand, _ = _optimal_rbb_design(scenario, cand, a_tilde)
+                value = objective(cand)
+                if value <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
+                    if value < trace[-1] * (1 - 1e-12):
                         changed = True
-                    design = cand
+                    design, current = cand, value
             except RateInfeasibleError:
                 pass
 
@@ -249,12 +242,13 @@ def ao_p2(
                 pi = receive_quadratic(b_bar, arrays.n_rf_rx)
                 rx_new = RxPhases(coordinate_update_receive(design.rx.d, pi))
             cand = HybridDesign(design.v_rf, design.r_bb, rx_new)
-            if objective(cand) <= trace[-1] * (1 + 1e-12):
-                if objective(cand) < trace[-1] * (1 - 1e-12):
+            value = objective(cand)
+            if value <= trace[-1] * (1 + 1e-12):
+                if value < trace[-1] * (1 - 1e-12):
                     changed = True
-                design = cand
+                design, current = cand, value
 
-        trace.append(objective(design))
+        trace.append(current)
         if abs(trace[-2] - trace[-1]) <= tol * trace[-2] or not changed:
             # a failed analog block is not convergence
             converged = not analog_failed

@@ -21,6 +21,7 @@ as the numerical ground truth in tests.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,24 @@ class PcrbEngine:
         )
         self.tables = SteeringTables(scenario.arrays, scenario.angle_prior, self.grid)
         self.f_p_theta = prior_fisher_theta(scenario.angle_prior, self.grid)
+
+    def for_scenario(self, scenario: Scenario) -> "PcrbEngine":
+        """Engine of a scenario that differs from this one only in its RF chains.
+
+        The grid, the steering tables and the prior Fisher term depend only
+        on the antenna counts, the angle prior and the grid size, so the new
+        engine shares them instead of rebuilding.
+        """
+        def key(sc: Scenario) -> tuple:
+            prior = sc.angle_prior
+            return (sc.arrays.n_tx, sc.arrays.n_rx, sc.quadrature_points,
+                    *(tuple(x) for x in (prior.weights, prior.means, prior.variances)))
+
+        if key(scenario) != key(self.scenario):
+            raise ModelError("scenario does not share this engine's antennas, prior and grid")
+        engine = copy.copy(self)
+        engine.scenario = scenario
+        return engine
 
     # -- observation-side integrals ------------------------------------
     def a1(self, w: np.ndarray) -> np.ndarray:

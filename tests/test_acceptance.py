@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import isac_beamkit as bk
 from isac_beamkit.bench import (
@@ -301,6 +302,7 @@ def paired_rows(rows, keys):
     return kept, n_pairs
 
 
+@pytest.mark.slow
 class TestCriterion9:
     def test_trend_suite(self):
         t0 = time.perf_counter()

@@ -69,6 +69,40 @@ class TestRunScheme:
         fdr = run_scheme(Scheme(SchemeKind.FD_RECEIVE), sc)
         assert fdr.final_pcrb == pytest.approx(fd.final_pcrb, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "kind", [SchemeKind.FULLY_DIGITAL, SchemeKind.FD_RECEIVE, SchemeKind.FD_TRANSMIT]
+    )
+    def test_derived_schemes_share_the_given_engine(self, monkeypatch, kind):
+        import isac_beamkit.pcrb as pcrb_mod
+
+        sc = rician_scenario(seed=3, rate_target=0.5)
+        engine = PcrbEngine(sc)
+        ao = {"n_init": 4, "max_outer": 2, "wmmse_rounds": 1, "sca_iters": 2}
+        built = []
+        tables = pcrb_mod.SteeringTables
+        monkeypatch.setattr(
+            pcrb_mod, "SteeringTables", lambda *args: built.append(args) or tables(*args)
+        )
+        shared = run_scheme(Scheme(kind), sc, engine, ao)
+        assert built == []
+        # reference: the derived scenario's own engine, built from scratch
+        monkeypatch.setattr(PcrbEngine, "for_scenario", lambda self, s: PcrbEngine(s))
+        fresh = run_scheme(Scheme(kind), sc, engine, ao)
+        assert len(built) == 1
+        assert shared.final_pcrb == fresh.final_pcrb
+        assert shared.trace == fresh.trace
+        assert shared.final_rate == fresh.final_rate
+        for a, b in zip(shared.design.r_bb, fresh.design.r_bb):
+            assert np.array_equal(a, b)
+
+    def test_engine_rejects_scenario_with_other_antennas(self):
+        from isac_beamkit.model import ModelError
+
+        sc = make_scenario(seed=1)
+        other = make_scenario(seed=1, n_tx=6, n_user=2)
+        with pytest.raises(ModelError):
+            PcrbEngine(sc).for_scenario(other)
+
     def test_direction_align_needs_recipe(self):
         sc = make_scenario(seed=4)
         with pytest.raises(SchemeError):

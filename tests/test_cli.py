@@ -197,6 +197,42 @@ class TestExecute:
         sc_path = self._write(tmp_path, doc)
         assert execute(RunConfig("optimize-sensing", sc_path)) == 2
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("power_dbm",),
+            ("noise_sense_dbm",),
+            ("rate_target_bits",),
+            ("reflection_gamma",),
+            ("angle_prior", 0, "mean"),
+            ("channel", "theta_user"),
+        ],
+    )
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, path, value):
+        doc = small_doc()
+        doc["rate_target_bits"] = 1.0
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        sc_path = self._write(tmp_path, doc)
+        out = tmp_path / "report.json"
+        assert execute(RunConfig("optimize-isac", sc_path, str(out))) == 2
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_two(self, tmp_path, monkeypatch, capsys):
+        import isac_beamkit.cli as cli
+
+        def broken(cfg, scenario):
+            raise IndexError("index 0 is out of bounds")
+
+        monkeypatch.setattr(cli, "_cmd_optimize", broken)
+        sc_path = self._write(tmp_path, small_doc())
+        assert execute(RunConfig("optimize-sensing", sc_path)) == 2
+        assert "IndexError" in capsys.readouterr().err
+
     def test_sweep_row_count_and_byte_identical(self, tmp_path):
         sc_path = self._write(tmp_path, small_doc())
         outs = []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from isac_beamkit import cvxkit
 from isac_beamkit.cvxkit import (
     ConvexQcqp,
     _Constraints,
@@ -10,6 +11,7 @@ from isac_beamkit.cvxkit import (
     QuadConstraint,
     RateInfeasibleError,
     SolverError,
+    _exact_rate,
     _inv_sqrt_psd,
     mimo_capacity,
     rate_constrained_trace_max,
@@ -373,3 +375,66 @@ class TestRateConstrainedTraceMax:
         oracle = dual_grid_oracle(a, g, hs, 1.0, target, 1e-12)
         assert abs(res.objective - oracle) <= 1e-5 * abs(oracle)
         assert res.rate >= target - 1e-9
+
+    def test_power_deficit_parks_budget_on_sensing_direction(self, rng):
+        # a channel orthogonal to the top sensing direction x_top: water-filling
+        # meets the rate without the whole budget even at the smallest power
+        # dual, and the rest of the budget goes on x_top
+        a, g, h0 = self._instance(rng)
+        lam, x = top_generalized_eig(a, g)
+        h = h0 - np.outer(h0 @ x, x.conj()) / (x.conj() @ x)
+        cap = mimo_capacity([h], g, 1.0, 1e-12)
+        for frac in (0.3, 0.6, 0.9):
+            target = frac * cap
+            res = rate_constrained_trace_max(a, g, h, 1.0, target, 1e-12)
+            assert res.branch == "dual"
+            assert res.rate >= target - 1e-9
+            assert res.power == pytest.approx(1.0, rel=1e-12)
+            assert np.trace(g @ res.r_single).real == pytest.approx(1.0, rel=1e-9)
+            assert _exact_rate([h], res.r_bb, 1e-12) >= target - 1e-9
+            # the grid oracle only rescales water-filling points and never
+            # spends unused power on x_top, so it stays a primal lower bound
+            # here; the dual function at the returned multipliers bounds the
+            # optimum from above
+            oracle = dual_grid_oracle(a, g, [h], 1.0, target, 1e-12)
+            upper = _dual_function(a, g, [h], 1.0, target, 1e-12, res.mu, res.beta)
+            assert oracle <= res.objective * (1 + 1e-9)
+            assert res.objective <= upper * (1 + 1e-9)
+            assert upper - res.objective <= 1e-5 * abs(res.objective)
+
+    def test_k16_dual_solve_point_budget(self, rng, monkeypatch):
+        calls = []
+        point = cvxkit._DualPoints.point
+        monkeypatch.setattr(
+            cvxkit._DualPoints, "point", lambda self, *args: calls.append(1) or point(self, *args)
+        )
+        for _ in range(4):
+            a = random_psd(rng, 3)
+            g = np.eye(3) * 3 + 0.2 * random_psd(rng, 3)
+            hs = [
+                1e-6 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+                for _ in range(16)
+            ]
+            cap = mimo_capacity(hs, g, 1.0, 1e-12)
+            for frac in (0.5, 0.8, 0.95):
+                calls.clear()
+                res = rate_constrained_trace_max_multi(a, g, hs, 1.0, frac * cap, 1e-12)
+                assert res.branch == "dual"
+                assert 0 < len(calls) <= 30
+                assert res.rate >= frac * cap - 1e-9
+                assert res.power <= 1.0 + 1e-8
+
+
+def _dual_function(a, g, h_list, power, target, noise, mu, beta):
+    """Lagrange dual function at (mu, beta), from an eigendecomposition of
+    mu G - A (an upper bound on the optimum for any mu > lam_max, beta >= 0)."""
+    k_sub = len(h_list)
+    lam, vec = np.linalg.eigh(mu * g - a)
+    m_inv_half = (vec / np.sqrt(lam)) @ vec.conj().T
+    value = mu * power - beta * target
+    for h in h_list:
+        gains = np.linalg.svd(h @ m_inv_half, compute_uv=False) ** 2
+        q = np.maximum(beta / k_sub - noise / np.maximum(gains, 1e-300), 0.0)
+        value += float((beta / k_sub * np.log1p(q * gains / noise) - q).sum())
+    return value
+

@@ -9,6 +9,8 @@ from isac_beamkit.model import (
     ArrayConfig,
     GmmAnglePrior,
     ModelError,
+    NarrowbandChannel,
+    ReflectionPrior,
     RxArchitecture,
     gen_rician_channel,
     gen_wideband_channel,
@@ -74,11 +76,24 @@ class TestArrayConfig:
         with pytest.raises(ModelError):
             ArrayConfig(4, 8, 2, 5, 2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_count_rejected(self, value):
+        with pytest.raises(ModelError):
+            ArrayConfig(4, 8, 2, value, 2)
+
 
 class TestGmmPrior:
     def test_weight_validation(self):
         with pytest.raises(ModelError):
             GmmAnglePrior.from_components([(0.5, 0.0, 1e-2), (0.4, 0.5, 1e-2)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_non_finite_component_rejected(self, field, value):
+        comp = [0.6, 0.0, 1e-2]
+        comp[field] = value
+        with pytest.raises(ModelError):
+            GmmAnglePrior.from_components([tuple(comp), (0.4, 0.5, 1e-2)])
 
     def test_density_normalization(self):
         prior = GmmAnglePrior.from_components(
@@ -171,6 +186,22 @@ class TestScenario:
             make_scenario(n_user=3).replace(
                 arrays=ArrayConfig(4, 4, 2, 2, 2, RxArchitecture.PARTIALLY_CONNECTED)
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["power", "noise_comm", "noise_sense", "rate_target"])
+    def test_non_finite_budget_rejected(self, field, value):
+        with pytest.raises(ModelError):
+            make_scenario().replace(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_reflection_and_channel_rejected(self, value):
+        sc = make_scenario()
+        with pytest.raises(ModelError):
+            ReflectionPrior(value)
+        h = sc.channel.h.copy()
+        h[0, 0] = value
+        with pytest.raises(ModelError):
+            sc.replace(channel=NarrowbandChannel(h))
 
     def test_subcarrier_match(self):
         sc = make_scenario(subcarriers=4)

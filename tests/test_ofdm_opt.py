@@ -3,7 +3,7 @@ import pytest
 
 from isac_beamkit.cvxkit import mimo_capacity
 from isac_beamkit.designs import HybridDesign, RxPhases, digital_factor
-from isac_beamkit.isac_opt import _vec, ao_p1, fpp_sca_vrf, wmmse_update
+from isac_beamkit.isac_opt import _vec, ao_isac, ao_p1, fpp_sca_vrf, init_random_phase, wmmse_update
 from isac_beamkit.model import WidebandChannel
 from isac_beamkit.ofdm_opt import (
     ao_p2,
@@ -16,6 +16,7 @@ from isac_beamkit.sensing_opt import ao_p0
 
 from conftest import make_scenario, random_phases, random_psd
 from test_cvxkit import dual_grid_oracle
+from test_isac_opt import feasible_rate_scenario
 
 
 def ofdm_feasible_scenario(seed=0, k=2, frac=0.6, **kw):
@@ -185,6 +186,35 @@ class TestAoP2:
         rep2 = ao_p2(sc, **opts)
         rep1 = ao_p1(sc, **opts)
         assert rep2.final_pcrb == pytest.approx(rep1.final_pcrb, rel=1e-12)
+
+    def test_k1_forwards_every_option(self):
+        sc = feasible_rate_scenario(seed=2, n_tx=4, n_rx=4, n_rf_tx=2, n_rf_rx=2)
+        eng = PcrbEngine(sc)
+        opts = dict(n_init=4, max_outer=3, wmmse_rounds=2, sca_iters=3, fixed_v=True, update_rx=False)
+        start = init_random_phase(sc, 4, sc.seed, eng)
+        rep2 = ao_p2(sc, eng, **opts)
+        ref = ao_isac(sc, eng, **opts)
+        assert rep2.final_pcrb == ref.final_pcrb
+        assert rep2.trace == ref.trace
+        assert np.array_equal(rep2.design.v_rf, start.v_rf)
+        assert np.array_equal(rep2.design.rx.d, start.rx.d)
+        for a, b in zip(rep2.design.r_bb, ref.design.r_bb):
+            assert np.array_equal(a, b)
+
+    def test_objective_computes_a1_once(self, monkeypatch):
+        sc = ofdm_feasible_scenario(seed=4, k=4)
+        eng = PcrbEngine(sc)
+        calls = []
+        a1 = PcrbEngine.a1
+        monkeypatch.setattr(PcrbEngine, "a1", lambda self, w: calls.append(1) or a1(self, w))
+        start = init_random_phase(sc, 3, sc.seed, eng)
+        # one A1 per random draw: its PCRB reuses the A1 of its digital solve
+        assert len(calls) == 3
+        calls.clear()
+        rep = ao_p2(sc, eng, init_design=start, max_outer=0)
+        # the start design's objective, then the final PCRB
+        assert len(calls) == 2
+        assert rep.trace == [eng.pcrb(start)]
 
     def test_zero_rate_target_matches_sensing(self):
         sc = make_scenario(seed=11, subcarriers=2, rate_target=0.0)
