@@ -4,7 +4,11 @@ Three pieces, all deterministic and dependency-free beyond numpy/scipy:
 
   * a top generalized-eigenpair solver (the rank-1 sensing optimum);
   * a log-barrier interior-point solver for convex QCQPs with linear
-    objective (hosts the slack-penalized analog-beamforming subproblems);
+    objective (hosts the slack-penalized analog-beamforming subproblems).
+    Each Newton step eliminates the coordinates that only sparse rows touch,
+    one per row (the modulus and tangent slacks), whose Hessian block is
+    diagonal: they are recovered in closed form and the Cholesky runs on
+    the Schur complement over the remaining coordinates;
   * the rate-constrained trace-maximization solver for the transmit digital
     covariance, via Lagrange duality with two scalar multipliers: at a
     power dual mu the Lagrangian's maximizer is a water-filling whose level
@@ -22,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dposv as _posv
 from scipy.optimize import brentq
 
 
@@ -117,98 +122,253 @@ class SolverReport:
 
 
 class _Constraints:
-    """Split constraint set with vectorized value/gradient/Hessian pieces.
+    """Row structure of a convex QCQP, built once per solve.
 
-    Quadratic rows given by their diagonal (unit-modulus halves, trust
-    balls) stay vectors; only matrix rows keep a dense n x n block. Rows
-    whose gradient touches at most SPARSE_ROW coordinates (modulus halves,
-    tangent planes, sign bounds) enter the barrier Hessian through their
-    fixed sparsity pattern, so apart from the Cholesky solve a Newton step
-    costs O(n^2) per dense row.
+    Rows are split by the number of coordinates their gradient touches.
+    Dense rows (more than SPARSE_ROW coordinates: the power and rate rows,
+    trust balls) keep 2Q as a dense block on the union of their supports,
+    the dense support, and enter the barrier Hessian through BLAS. Sparse
+    rows (modulus halves, tangent planes, sign bounds) keep their
+    coordinates in k padded slots and their quadratic as a list of nonzero
+    entries, and enter the Hessian through precomputed flat indices. The
+    linear parts are constants, so a linear row's gradient costs nothing.
+
+    Block elimination (Boyd & Vandenberghe, App. C.4): a coordinate that no
+    dense row touches and that shares no sparse row with another such
+    coordinate has a diagonal block in the barrier Hessian. These
+    eliminated coordinates (the modulus and tangent slacks of the FPP-SCA
+    subproblems) are solved for in closed form, and the Cholesky runs on the
+    Schur complement over the kept coordinates only. A problem without such
+    coordinates (the feasibility anchor) goes through the same code with an
+    empty eliminated set.
+
+    The per-step methods work in the internal coordinate order `perm`:
+    dense support, other kept coordinates, eliminated coordinates. Rows are
+    ordered dense first, then sparse; `order` maps that order to the input
+    rows (sign bounds numbered after them).
     """
 
     SPARSE_ROW = 8
 
     def __init__(self, problem: ConvexQcqp):
         n = problem.dim
-        quads = [c for c in problem.constraints if c.quad is not None]
-        lins = [c for c in problem.constraints if c.quad is None]
-        if problem.nonneg is not None:
-            for i in np.where(problem.nonneg)[0]:
-                a = np.zeros(n)
-                a[i] = -1.0
-                lins.append(QuadConstraint(None, a, 0.0))
-        dense = [c for c in quads if c.quad.ndim == 2]
-        diag = [c for c in quads if c.quad.ndim == 1]
-        # row order: dense quadratics, diagonal quadratics, linear rows
-        quads = dense + diag
-        self.n = n
-        self.n_dense = len(dense)
-        self.n_quad = len(quads)
-        self.qmats = np.array([c.quad for c in dense]) if dense else np.zeros((0, n, n))
-        self.qdiag = np.array([c.quad for c in diag]) if diag else np.zeros((0, n))
-        self.qlin = np.array([c.lin for c in quads]) if quads else np.zeros((0, n))
-        self.qoff = np.array([c.offset for c in quads])
-        self.alin = np.array([c.lin for c in lins]) if lins else np.zeros((0, n))
-        self.aoff = np.array([c.offset for c in lins])
-        self.m = self.qoff.size + self.aoff.size
-        # gradient support of each row (quadratic rows first, as in grads)
-        support = np.vstack([self.qlin, self.alin]) != 0
-        support[: self.n_dense] |= np.any(self.qmats != 0, axis=1)
-        support[self.n_dense : self.n_quad] |= self.qdiag != 0
-        sparse = support.sum(axis=1) <= self.SPARSE_ROW
-        self.dense_rows = np.flatnonzero(~sparse)
-        # (row, i, j) for every Hessian entry a sparse row contributes to
-        pairs = [np.zeros((3, 0), dtype=int)]
-        for r in np.flatnonzero(sparse):
-            idx = np.flatnonzero(support[r])
-            ii, jj = np.meshgrid(idx, idx, indexing="ij")
-            pairs.append(np.stack([np.full(ii.size, r), ii.ravel(), jj.ravel()]))
-        self.pair_row, self.pair_i, self.pair_j = np.hstack(pairs)
-        self.pair_flat = self.pair_i * n + self.pair_j
+        given = problem.constraints
+        signed = np.flatnonzero(problem.nonneg) if problem.nonneg is not None else np.zeros(0, int)
+        m = len(given) + signed.size
+        quads = [c.quad for c in given] + [None] * signed.size
+        lin = np.zeros((m, n))
+        if given:
+            lin[: len(given)] = np.array([c.lin for c in given])
+        lin[len(given) + np.arange(signed.size), signed] = -1.0
+        off = np.zeros(m)
+        off[: len(given)] = [c.offset for c in given]
+        ndim = np.array([0 if q is None else q.ndim for q in quads], dtype=int)
+        support = lin != 0
+        diag_rows = np.flatnonzero(ndim == 1)
+        qdiag = np.array([quads[r] for r in diag_rows]).reshape(-1, n)
+        support[diag_rows] |= qdiag != 0
+        for r in np.flatnonzero(ndim == 2):
+            support[r] |= quads[r].any(axis=0)
+        dense = support.sum(axis=1) > self.SPARSE_ROW
+        order = np.argsort(~dense, kind="stable")
 
-    def _quad_forms(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x^T Q_i y for every quadratic row."""
-        return np.concatenate([self.qmats @ y @ x, self.qdiag @ (x * y)])
+        # coordinates: dense support, other kept, eliminated
+        in_dense = support[dense].any(axis=0)
+        sp_support = support[~dense]
+        cand = sp_support.any(axis=0) & ~in_dense
+        crowded = (sp_support & cand).sum(axis=1) > 1
+        elim = cand & ~sp_support[crowded].any(axis=0)
+        perm = np.concatenate([
+            np.flatnonzero(in_dense), np.flatnonzero(~in_dense & ~elim), np.flatnonzero(elim)
+        ])
+        pos = np.empty(n, dtype=int)
+        pos[perm] = np.arange(n)
+        n_sup = int(in_dense.sum())
+        n_elim = int(elim.sum())
+        n_keep = n - n_elim
+        self.n, self.m = n, m
+        self.perm, self.inv, self.order = perm, pos, order
+        self.off = off[order]
+        self.n_sup, self.n_keep, self.n_elim = n_sup, n_keep, n_elim
+
+        # dense rows on the dense support, with 2 Q stacked by rows (2 Q x of
+        # every row in one product) and flattened (sum_r w_r 2 Q_r in one)
+        rows_d = order[: int(dense.sum())]
+        sup = perm[:n_sup]
+        self.n_dense = rows_d.size
+        self.d_lin = lin[rows_d][:, sup]
+        quad2 = np.zeros((rows_d.size, n_sup, n_sup))
+        for j, r in enumerate(rows_d):
+            q = quads[r]
+            if q is not None:
+                quad2[j] = 2.0 * (np.diag(q[sup]) if q.ndim == 1 else q[sup][:, sup])
+        self.d_quad2_rows = quad2.reshape(rows_d.size * n_sup, n_sup)
+        self.d_quad2_flat = quad2.reshape(rows_d.size, n_sup * n_sup)
+
+        # sparse rows on k padded slots (a padded slot points at coordinate
+        # 0 with zero coefficients)
+        rows_s = order[rows_d.size :]
+        s_support = support[rows_s]
+        count = s_support.sum(axis=1)
+        k = int(count.max()) if rows_s.size else 0
+        r_i, c_i = np.nonzero(s_support)
+        slot_i = np.arange(r_i.size) - (np.cumsum(count) - count)[r_i]
+        coord = np.zeros((rows_s.size, k), dtype=int)
+        coord[r_i, slot_i] = c_i
+        valid = np.zeros((rows_s.size, k), dtype=bool)
+        valid[r_i, slot_i] = True
+        self.slot = pos[coord]
+        self.slot_flat = self.slot.ravel()
+        self.s_lin = np.where(valid, lin[rows_s[:, None], coord], 0.0)
+        self.ones_k = np.ones(k)
+        # their quadratics as k x k blocks, kept as lists of nonzero entries
+        s_quad = np.zeros((rows_s.size, k, k))
+        pair_valid = valid[:, :, None] & valid[:, None, :]
+        js = np.flatnonzero(ndim[rows_s] == 1)
+        if js.size:
+            slots = np.arange(k)
+            q = qdiag[np.searchsorted(diag_rows, rows_s[js])]
+            s_quad[js[:, None], slots, slots] = np.where(
+                valid[js], q[np.arange(js.size)[:, None], coord[js]], 0.0
+            )
+        for j in np.flatnonzero(ndim[rows_s] == 2):
+            cj = coord[j]
+            s_quad[j] = np.where(pair_valid[j], quads[rows_s[j]][cj[:, None], cj], 0.0)
+        q_row, q_a, q_b = np.nonzero(s_quad)
+        q_val = s_quad[q_row, q_a, q_b]
+        self.q_row, self.q_val, self.q_val2 = q_row, q_val, 2.0 * q_val
+        self.q_slot_a = q_row * k + q_a
+        self.q_ca, self.q_cb = pos[coord[q_row, q_a]], pos[coord[q_row, q_b]]
+
+        # the sparse rows' local Hessian entries inv_r^2 g_a g_b - 2 inv_r Q_ab
+        # as products of the flattened slot gradients, in the order:
+        # eliminated diagonal, kept x eliminated couplings (summed per
+        # coordinate pair), kept x kept (into the reduced matrix); eliminated
+        # x kept entries mirror the couplings and are left out
+        row, a, b = np.nonzero(pair_valid)
+        sa, sb = row * k + a, row * k + b
+        ia, ib = self.slot_flat[sa], self.slot_flat[sb]
+        ka, kb = ia < n_keep, ib < n_keep
+        ee, ke, kk = ~ka & ~kb, ka & ~kb, ka & kb
+        entries = np.concatenate([np.flatnonzero(ee), np.flatnonzero(ke), np.flatnonzero(kk)])
+        self.ent_a, self.ent_b = sa[entries], sb[entries]
+        self.n_ec = int(ee.sum() + ke.sum())
+        entry_of = np.full(pair_valid.shape, -1)
+        entry_of[row[entries], a[entries], b[entries]] = np.arange(entries.size)
+        q_ent = entry_of[q_row, q_a, q_b]
+        self.q_ent, self.q_inv = q_ent[q_ent >= 0], self.n_dense + q_row[q_ent >= 0]
+        self.q_ent_val2 = 2.0 * q_val[q_ent >= 0]
+        # couplings numbered by eliminated coordinate, then kept coordinate
+        pair_of = np.zeros((n_elim, n_keep), dtype=int)
+        pair_of[ib[ke] - n_keep, ia[ke]] = 1
+        self.pair_e, self.pair_k = np.nonzero(pair_of)
+        pair_of[self.pair_e, self.pair_k] = np.arange(self.pair_e.size)
+        # diagonal and couplings come out of one scatter
+        self.ec_dst = np.concatenate([ia[ee] - n_keep, n_elim + pair_of[ib[ke] - n_keep, ia[ke]]])
+        # Schur complement terms: every two couplings of one eliminated coordinate
+        per_e = np.bincount(self.pair_e, minlength=n_elim)
+        group = np.full((n_elim, int(per_e.max()) if n_elim else 0), -1)
+        group[self.pair_e, np.arange(self.pair_e.size) - (np.cumsum(per_e) - per_e)[self.pair_e]] = (
+            np.arange(self.pair_e.size)
+        )
+        both = (group[:, :, None] >= 0) & (group[:, None, :] >= 0)
+        self.schur_a = np.broadcast_to(group[:, :, None], both.shape)[both]
+        self.schur_b = np.broadcast_to(group[:, None, :], both.shape)[both]
+        self.h_dst = np.concatenate([
+            ia[kk] * n_keep + ib[kk],
+            self.pair_k[self.schur_a] * n_keep + self.pair_k[self.schur_b],
+        ])
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        vq = self._quad_forms(x, x) + self.qlin @ x + self.qoff
-        vl = self.alin @ x + self.aoff
-        return np.concatenate([vq, vl])
+        """Row values at x (input coordinates), in internal row order."""
+        return self.derivatives(x[self.perm])[0]
 
-    def values_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        qx = np.concatenate([self.qmats @ x, self.qdiag * x])
-        vq = qx @ x + self.qlin @ x + self.qoff
-        gq = 2.0 * qx + self.qlin
-        vl = self.alin @ x + self.aoff
-        return np.concatenate([vq, vl]), np.vstack([gq, self.alin])
+    def derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, dense-row gradients on the dense support, sparse-row
+        gradients on their slots) at internal coordinates x."""
+        xs, xl = x[: self.n_sup], x[self.slot]
+        gd = self.d_lin + (self.d_quad2_rows @ xs).reshape(self.n_dense, self.n_sup)
+        gs = self.s_lin + _scatter(
+            self.q_slot_a, self.q_val2 * x[self.q_cb], self.s_lin.size
+        ).reshape(self.s_lin.shape)
+        # x^T Q x + a^T x = (2 Q x + a + a)^T x / 2
+        vals = np.concatenate([(gd + self.d_lin) @ xs, ((gs + self.s_lin) * xl) @ self.ones_k])
+        return 0.5 * vals + self.off, gd, gs
 
-    def gradients(self, x: np.ndarray) -> np.ndarray:
-        return self.values_and_gradients(x)[1]
+    def grad_sum(self, w: np.ndarray, gd: np.ndarray, gw: np.ndarray) -> np.ndarray:
+        """sum_i w_i grad q_i in internal coordinates, with the sparse rows'
+        part given weighted: gw = w_i * (their slot gradients)."""
+        out = _scatter(self.slot_flat, gw.ravel(), self.n)
+        out[: self.n_sup] += w[: self.n_dense] @ gd
+        return out
 
-    def ray_coefficients(self, x: np.ndarray, dx: np.ndarray, vals, grads):
-        """(v0, v1, v2) with q_i(x + s*dx) = v0 + s*v1 + s^2*v2."""
-        v1 = grads @ dx
-        v2 = np.zeros(self.m)
-        v2[: self.n_quad] = self._quad_forms(dx, dx)
-        return vals, v1, v2
+    def ray_coefficients(self, dx: np.ndarray, gd: np.ndarray, gs: np.ndarray):
+        """(v1, v2) with q_i(x + s*dx) = q_i(x) + s*v1_i + s^2*v2_i."""
+        dxs, dxl = dx[: self.n_sup], dx[self.slot]
+        v1 = np.concatenate([gd @ dxs, (gs * dxl) @ self.ones_k])
+        v2 = np.concatenate([
+            0.5 * (self.d_quad2_rows @ dxs).reshape(self.n_dense, self.n_sup) @ dxs,
+            _scatter(self.q_row, self.q_val * dx[self.q_ca] * dx[self.q_cb], self.slot.shape[0]),
+        ])
+        return v1, v2
 
-    def barrier_hessian(self, x: np.ndarray, vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        inv = 1.0 / vals  # vals < 0 in the domain
-        inv2 = inv**2
-        gd = grads[self.dense_rows]
-        h = (gd * inv2[self.dense_rows, None]).T @ gd
-        pair_vals = (
-            inv2[self.pair_row]
-            * grads[self.pair_row, self.pair_i]
-            * grads[self.pair_row, self.pair_j]
-        )
-        h += np.bincount(self.pair_flat, pair_vals, minlength=self.n * self.n).reshape(self.n, self.n)
-        w = -2.0 * inv[: self.n_quad]
-        if self.n_dense:
-            h += np.tensordot(w[: self.n_dense], self.qmats, axes=1)
-        h[np.diag_indices(self.n)] += w[self.n_dense :] @ self.qdiag
-        return h
+    def reduced_system(self, inv: np.ndarray, gd: np.ndarray, gi: np.ndarray):
+        """Barrier Hessian sum grad grad^T / q^2 - 2 Q / q in eliminated form.
+
+        inv = 1/q, gi = the sparse rows' slot gradients times inv. Returns
+        (h, diag, cpl): the Schur complement over the kept coordinates, the
+        diagonal of the eliminated block, and the kept x eliminated
+        couplings (pair_k, pair_e).
+        """
+        nd, nk, ns = self.n_dense, self.n_keep, self.n_sup
+        gi = gi.ravel()
+        ent = gi[self.ent_a] * gi[self.ent_b]
+        ent[self.q_ent] -= self.q_ent_val2 * inv[self.q_inv]
+        ec = _scatter(self.ec_dst, ent[: self.n_ec], self.n_elim + self.pair_k.size)
+        diag, cpl = ec[: self.n_elim], ec[self.n_elim :]
+        scaled = cpl / diag[self.pair_e]
+        h = _scatter(
+            self.h_dst,
+            np.concatenate([ent[self.n_ec :], -scaled[self.schur_a] * cpl[self.schur_b]]),
+            nk * nk,
+        ).reshape(nk, nk)
+        gdi = gd * inv[:nd, None]
+        q_part = -inv[:nd] @ self.d_quad2_flat
+        h[:ns, :ns] += gdi.T @ gdi + q_part.reshape(ns, ns)
+        return h, diag, cpl
+
+    def newton_step(self, inv: np.ndarray, gd: np.ndarray, gi: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Solve (barrier Hessian) dx = -g by block elimination, internal coordinates."""
+        h, diag, cpl = self.reduced_system(inv, gd, gi)
+        nk = self.n_keep
+        g_k, g_e = g[:nk], g[nk:]
+        u = g_e / diag
+        rhs = _scatter(self.pair_k, cpl * u[self.pair_e], nk) - g_k
+        dk = _pd_solve(h, rhs)
+        de = -u - _scatter(self.pair_e, cpl * dk[self.pair_k], self.n_elim) / diag
+        return np.concatenate([dk, de])
+
+
+def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sums of weights over equal indices, as a float array of length size."""
+    if not index.size:
+        return np.zeros(size)  # bincount of no weights is an integer array
+    return np.bincount(index, weights, size)
+
+
+def _pd_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve h y = rhs by Cholesky; a matrix that is not numerically
+    positive definite is solved with a small diagonal regularization."""
+    if not rhs.size:
+        return rhs
+    # LAPACK posv: potrf then potrs on a copy of h. h is symmetric, so its
+    # transpose is the same matrix in Fortran order
+    _, y, info = _posv(h.T, rhs, lower=1)
+    if info == 0:
+        return y
+    n = h.shape[0]
+    h[np.diag_indices(n)] += 1e-10 * max(np.trace(h) / n, 1.0)
+    return np.linalg.solve(h, rhs)
 
 
 def _newton_barrier(
@@ -233,43 +393,42 @@ def _newton_barrier(
     (lambda/(1-lambda))^2, about 1% of the current one, so a decrement
     that does not decrease at all there is rounding noise and the point is
     as centred as float64 allows.
+
+    The iterates live in the constraints' internal coordinate order; x and
+    the result are in the problem's order.
     """
-    n = x.size
+    x, c = x[cons.perm], c[cons.perm]
+    t_c = t_bar * c
     lam2_prev, full_step = math.inf, False
     for it in range(max_iter):
-        vals, grads = cons.values_and_gradients(x)
-        g = t_bar * c - grads.T @ (1.0 / vals)
-        h = cons.barrier_hessian(x, vals, grads)
-        try:
-            l_chol = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
-            dx = -scipy.linalg.cho_solve(l_chol, g, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            h = h + (1e-10 * max(np.trace(h) / n, 1.0)) * np.eye(n)
-            dx = -np.linalg.solve(h, g)
-        lam2 = float(-g @ dx)
+        vals, gd, gs = cons.derivatives(x)
+        inv = 1.0 / vals
+        gi = gs * inv[cons.n_dense :, None]
+        g = t_c - cons.grad_sum(inv, gd, gi)
+        dx = cons.newton_step(inv, gd, gi, g)
+        lam2 = -float(g @ dx)
         if lam2 / 2.0 <= 1e-11 or (full_step and lam2_prev < 1e-2 and lam2 >= lam2_prev):
-            return x, it, "conv"
+            return x[cons.inv], it, "conv"
         # backtracking line search on the ray, with constraint values along
         # the ray evaluated from their exact quadratic coefficients
-        v0, v1, v2 = cons.ray_coefficients(x, dx, vals, grads)
-        f0 = t_bar * (c @ x) - np.log(-vals).sum()
+        v1, v2 = cons.ray_coefficients(dx, gd, gs)
+        c_x = float(c @ x)
+        f0 = t_bar * c_x - np.log(-vals).sum()
         c_dx = float(c @ dx)
-        g_dx = float(g @ dx)
-        step = 1.0
-        for _ in range(80):
-            vn = v0 + step * v1 + step * step * v2
-            if np.all(vn < 0):
-                fn = t_bar * (c @ x + step * c_dx) - np.log(-vn).sum()
-                if fn <= f0 + 0.25 * step * g_dx:
+        for k in range(80):
+            step = 0.5**k
+            vn = vals + step * v1 + step * step * v2
+            if vn.max() < 0:
+                fn = t_bar * (c_x + step * c_dx) - np.log(-vn).sum()
+                if fn <= f0 - 0.25 * step * lam2:
                     break
-            step *= 0.5
         else:
-            return x, it, "stall"
+            return x[cons.inv], it, "stall"
         x = x + step * dx
         lam2_prev, full_step = lam2, step == 1.0
-        if stop_fn is not None and stop_fn(x):
-            return x, it + 1, "stop"
-    return x, max_iter, "cap"
+        if stop_fn is not None and stop_fn(x[cons.inv]):
+            return x[cons.inv], it + 1, "stop"
+    return x[cons.inv], max_iter, "cap"
 
 
 def _phase_one(cons_problem: ConvexQcqp, x0: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -325,7 +484,10 @@ def solve_convex_qcqp(
 
     If x0 is strictly feasible it is used directly, otherwise a phase-I
     barrier run locates an interior point first. The returned violation and
-    KKT residual are recomputed from the final iterate.
+    KKT residual are recomputed from the final iterate, the residual with
+    the duals of the last barrier weight that was centred. `message` is
+    empty when the duality-gap target was certified and says why not
+    otherwise; `success` only reports feasibility.
     """
     cons = _Constraints(problem)
     n = problem.dim
@@ -353,22 +515,30 @@ def solve_convex_qcqp(
     gap_target = tol * max(1.0, abs(float(c @ x0)))
     t_bar = max(1.0, cons.m)
     total_newton = 0
-    for _ in range(max_stages):
+    unfinished = "stage cap reached"
+    for stage in range(max_stages):
+        if stage:
+            t_bar *= 20.0
         f_before = float(c @ x)
         x, its, reason = _newton_barrier(cons, c, x, t_bar, 60)
         total_newton += its
         if cons.m / t_bar < gap_target:
+            unfinished = ""
             break
         if reason in ("stall", "cap") and abs(float(c @ x) - f_before) <= 1e-12 * max(
             1.0, abs(f_before)
         ):
             # float64 cannot certify further progress at this barrier weight
+            unfinished = "float64 cannot certify further progress"
             break
-        t_bar *= 20.0
-    vals = cons.values(x)
-    grads = cons.gradients(x)
-    duals = 1.0 / (-vals * t_bar)
-    kkt = float(np.abs(c + grads.T @ duals).max())
+    message = ""
+    if unfinished:
+        message = f"gap bound {cons.m / t_bar:.3g} above target {gap_target:.3g}: {unfinished}"
+    # duals at the last weight that was centred
+    vals, gd, gs = cons.derivatives(x[cons.perm])
+    inv = 1.0 / vals
+    grad_sum = cons.grad_sum(inv, gd, gs * inv[cons.n_dense :, None])
+    kkt = float(np.abs(c[cons.perm] - grad_sum / t_bar).max())
     return SolverReport(
         x=x,
         objective=float(c @ x),
@@ -376,7 +546,7 @@ def solve_convex_qcqp(
         kkt_residual=kkt,
         iterations=total_newton,
         success=bool(vals.max() < tol if vals.size else True),
-        message="",
+        message=message,
     )
 
 

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The trend criteria (9a-9d) work at the reference array scale and are
-the slow part of the suite; everything else is desk scale.
+the slow part of the suite; criteria 4 and 6 take tens of seconds, and these
+three carry the `slow` marker. Everything else is desk scale.
 """
 
 import itertools
@@ -123,6 +124,7 @@ class TestCriterion3:
                   f"3600-point phase grid ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 class TestCriterion4:
     def test_ao_traces_weakly_decreasing(self):
         t0 = time.perf_counter()
@@ -172,6 +174,7 @@ class TestCriterion5:
         report(5, "WMMSE surrogate equals the log-det rate on 1000 instances within 1e-8")
 
 
+@pytest.mark.slow
 class TestCriterion6:
     def test_digital_solver_matches_dual_grid(self, rng):
         t0 = time.perf_counter()

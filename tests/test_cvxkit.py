@@ -24,6 +24,85 @@ from isac_beamkit.cvxkit import (
 from conftest import random_psd
 
 
+def _mixed_rows(rng):
+    """Dense, diagonal-vector, sparse-matrix, linear and sign rows; the dense
+    rows touch every coordinate, so nothing is eliminated."""
+    n = 9
+    x = 0.05 * rng.standard_normal(n)
+    cons = []
+    b = rng.standard_normal((n, n))
+    cons.append(QuadConstraint(b @ b.T, rng.standard_normal(n), -4.0))
+    for i in range(3):
+        q = np.zeros(n)
+        q[i] = q[i + 3] = 1.0
+        a = np.zeros(n)
+        a[6] = -1.0
+        cons.append(QuadConstraint(q, a, -1.0))
+        a = np.zeros(n)
+        a[[i, i + 3, 7]] = (0.4, -0.3, -1.0)
+        cons.append(QuadConstraint(None, a, -1.0))
+    q = np.zeros((n, n))
+    q[1, 1], q[1, 2], q[2, 1], q[2, 2] = 2.0, 0.5, 0.5, 1.0
+    cons.append(QuadConstraint(q, np.zeros(n), -3.0))
+    cons.append(QuadConstraint(None, rng.standard_normal(n), -2.0))
+    nonneg = np.zeros(n, dtype=bool)
+    nonneg[6:] = True
+    x[6:] = 0.5
+    return ConvexQcqp(np.ones(n), cons, nonneg), x, []
+
+
+def _shared_slack_rows(rng):
+    """FPP-SCA shape: dense rows on x = 0..9 only. The modulus slack 10 and
+    the tangent slack 11 are eliminated (10 also through a sparse matrix row
+    that couples it with x_3); one sparse row touches both 12 and 13, so
+    neither of those is."""
+    n, n_x = 14, 10
+    x = 0.05 * rng.standard_normal(n)
+    x[n_x:] = 0.5
+    cons = []
+    for scale in (1.0, 0.3):
+        b = rng.standard_normal((n_x, n_x))
+        q = np.zeros((n, n))
+        q[:n_x, :n_x] = scale * b @ b.T
+        a = np.zeros(n)
+        a[:n_x] = rng.standard_normal(n_x)
+        cons.append(QuadConstraint(q, a, -4.0))
+    for i in range(3):
+        q = np.zeros(n)
+        q[i] = q[i + 5] = 1.0
+        a = np.zeros(n)
+        a[10] = -1.0
+        cons.append(QuadConstraint(q, a, -1.0))
+        a = np.zeros(n)
+        a[[i, i + 5, 11]] = (0.4, -0.3, -1.0)
+        cons.append(QuadConstraint(None, a, -1.0))
+    q = np.zeros((n, n))
+    q[3, 3], q[3, 10], q[10, 3], q[10, 10] = 2.0, 0.5, 0.5, 1.0
+    cons.append(QuadConstraint(q, np.zeros(n), -3.0))
+    a = np.zeros(n)
+    a[[0, 12, 13]] = (0.3, -1.0, -1.0)
+    cons.append(QuadConstraint(None, a, -1.0))
+    nonneg = np.zeros(n, dtype=bool)
+    nonneg[n_x:] = True
+    return ConvexQcqp(np.ones(n), cons, nonneg), x, [10, 11]
+
+
+def _anchor_rows(rng):
+    """Feasibility-anchor shape: power, rate and ball rows, all dense and all
+    touching the shared slack, so nothing is eliminated."""
+    n_x = 10
+    n = n_x + 1
+    x = np.append(0.05 * rng.standard_normal(n_x), 0.5)
+    cons = []
+    for lin in (np.zeros(n_x), rng.standard_normal(n_x)):
+        b = rng.standard_normal((n_x, n_x))
+        q = np.zeros((n, n))
+        q[:n_x, :n_x] = b @ b.T
+        cons.append(QuadConstraint(q, np.append(lin, -1.0), -1.0))
+    cons.append(QuadConstraint(np.append(np.ones(n_x), 0.0), np.append(np.zeros(n_x), -1.0), -4.0 * n_x))
+    return ConvexQcqp(np.append(np.zeros(n_x), 1.0), cons), x, []
+
+
 class TestTopGeneralizedEig:
     def test_diagonal(self):
         lam, x = top_generalized_eig(np.diag([1.0, 3.0, 2.0]), np.eye(3))
@@ -113,33 +192,18 @@ class TestSolveConvexQcqp:
         assert abs(rep.objective - best) <= 1e-4 * max(1.0, abs(best))
 
     def test_structured_rows_match_dense_barrier(self, rng):
-        # dense, diagonal-vector, sparse-matrix, linear and sign rows against
-        # the textbook dense barrier derivatives
-        n = 9
-        x = 0.05 * rng.standard_normal(n)
+        # values, gradients, the eliminated Newton system, the Newton step
+        # and the ray coefficients of the structured rows against the
+        # textbook dense barrier formulas
+        for case in (_mixed_rows, _shared_slack_rows, _anchor_rows):
+            self._check_against_dense_barrier(rng, *case(rng))
+
+    @staticmethod
+    def _check_against_dense_barrier(rng, problem, x, eliminated):
+        n = problem.dim
         dx = rng.standard_normal(n)
-        cons = []
-        b = rng.standard_normal((n, n))
-        cons.append(QuadConstraint(b @ b.T, rng.standard_normal(n), -4.0))
-        for i in range(3):
-            q = np.zeros(n)
-            q[i] = q[i + 3] = 1.0
-            a = np.zeros(n)
-            a[6] = -1.0
-            cons.append(QuadConstraint(q, a, -1.0))
-            a = np.zeros(n)
-            a[[i, i + 3, 7]] = (0.4, -0.3, -1.0)
-            cons.append(QuadConstraint(None, a, -1.0))
-        q = np.zeros((n, n))
-        q[1, 1], q[1, 2], q[2, 1], q[2, 2] = 2.0, 0.5, 0.5, 1.0
-        cons.append(QuadConstraint(q, np.zeros(n), -3.0))
-        cons.append(QuadConstraint(None, rng.standard_normal(n), -2.0))
-        nonneg = np.zeros(n, dtype=bool)
-        nonneg[6:] = True
-        x[6:] = 0.5
-        problem = ConvexQcqp(np.ones(n), cons, nonneg)
-        rows = list(cons)
-        for i in np.flatnonzero(nonneg):
+        rows = list(problem.constraints)
+        for i in np.flatnonzero(problem.nonneg if problem.nonneg is not None else []):
             a = np.zeros(n)
             a[i] = -1.0
             rows.append(QuadConstraint(None, a, 0.0))
@@ -149,24 +213,83 @@ class TestSolveConvexQcqp:
             for r in rows
         ]
         vals = np.array([x @ q @ x + r.lin @ x + r.offset for q, r in zip(full_q, rows)])
+        assert vals.max() < 0
         grads = np.array([2 * q @ x + r.lin for q, r in zip(full_q, rows)])
         hess = sum(
             np.outer(g, g) / v**2 - 2 * q / v for q, g, v in zip(full_q, grads, vals)
         )
         curv = np.array([dx @ q @ dx for q in full_q])
+        c = rng.standard_normal(n)
+        g_bar = 3.0 * c - grads.T @ (1.0 / vals)
+        step = np.linalg.solve(hess, -g_bar)
 
-        cons_s = _Constraints(problem)
-        v_s, g_s = cons_s.values_and_gradients(x)
-        # structured row order: matrix quadratics, vector quadratics, linear
-        kind = [2 if r.quad is None else 2 - r.quad.ndim for r in rows]
-        order = sorted(range(len(rows)), key=lambda i: (kind[i], i))
+        cons = _Constraints(problem)
+        perm, order, nk = cons.perm, cons.order, cons.n_keep
+        assert sorted(perm[nk:]) == eliminated
+        v_s, gd, gs = cons.derivatives(x[perm])
+        nd = cons.n_dense
+        inv = 1.0 / v_s
+        gi = gs * inv[nd:, None]
         np.testing.assert_allclose(v_s, vals[order], rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(g_s, grads[order], rtol=1e-13, atol=1e-13)
-        h_s = cons_s.barrier_hessian(x, v_s, g_s)
-        np.testing.assert_allclose(h_s, hess, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
-        _, v1, v2 = cons_s.ray_coefficients(x, dx, v_s, g_s)
+        # per-row gradients, read off the ray slopes along each axis
+        g_s = np.array([cons.ray_coefficients(e, gd, gs)[0] for e in np.eye(n)]).T
+        np.testing.assert_allclose(g_s, grads[order][:, perm], rtol=1e-13, atol=1e-13)
+        w = rng.standard_normal(vals.size)[order]
+        np.testing.assert_allclose(
+            cons.grad_sum(w, gd, gs * w[nd:, None]), grads[order].T[perm] @ w,
+            rtol=1e-12, atol=1e-12,
+        )
+        # eliminated form: a diagonal eliminated block and the Schur
+        # complement over the kept coordinates
+        h_p = hess[np.ix_(perm, perm)]
+        h_s, diag, _ = cons.reduced_system(inv, gd, gi)
+        h_ee = h_p[nk:, nk:]
+        np.testing.assert_array_equal(h_ee - np.diag(np.diag(h_ee)), 0.0)
+        np.testing.assert_allclose(diag, np.diag(h_ee), rtol=1e-12)
+        schur = h_p[:nk, :nk] - h_p[:nk, nk:] @ np.diag(1.0 / np.diag(h_ee)) @ h_p[nk:, :nk]
+        np.testing.assert_allclose(h_s, schur, rtol=1e-12, atol=1e-12 * np.abs(schur).max())
+        dx_s = cons.newton_step(inv, gd, gi, g_bar[perm])
+        assert np.abs(dx_s - step[perm]).max() <= 1e-10 * np.abs(step).max()
+        v1, v2 = cons.ray_coefficients(dx[perm], gd, gs)
         np.testing.assert_allclose(v1, (grads @ dx)[order], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(v2, curv[order], rtol=1e-12, atol=1e-12)
+
+    def test_singular_hessian_falls_back_to_regularized_step(self):
+        # coordinate 2 is touched by no row and ignored by the objective, so
+        # the barrier Hessian is singular in it
+        cons = _Constraints(ConvexQcqp(np.array([1.0, -1.0, 0.0]), [
+            QuadConstraint(np.array([1.0, 1.0, 0.0]), np.zeros(3), -1.0),
+            QuadConstraint(None, np.array([1.0, -0.5, 0.0]), -0.5),
+        ]))
+        c = np.array([1.0, -1.0, 0.0])
+        x0 = np.array([0.1, 0.2, 3.0])
+        vals, gd, gs = cons.derivatives(x0[cons.perm])
+        inv = 1.0 / vals
+        gi = gs * inv[cons.n_dense :, None]
+        g = 10.0 * c[cons.perm] - cons.grad_sum(inv, gd, gi)
+        dx = cons.newton_step(inv, gd, gi, g)
+        assert np.all(np.isfinite(dx))
+        assert dx[cons.inv[2]] == 0.0
+        x, its, reason = _newton_barrier(cons, c, x0, 10.0, 60)
+        assert reason == "conv" and its > 0
+        assert np.all(np.isfinite(x)) and x[2] == 3.0
+        assert cons.values(x).max() < 0
+
+    def test_kkt_residual_at_last_centred_weight(self, rng):
+        # a stage cap must not report the duals of a barrier weight that was
+        # never centred
+        n = 6
+        a = random_psd(rng, n).real + np.eye(n)
+        problem = ConvexQcqp(rng.standard_normal(n), [
+            QuadConstraint(a, np.zeros(n), -4.0),
+            QuadConstraint(None, rng.standard_normal(n), -1.0),
+        ])
+        for stages in (1, 2, 3):
+            rep = solve_convex_qcqp(problem, tol=1e-10, max_stages=stages)
+            assert rep.success
+            assert rep.kkt_residual < 1e-6
+            assert "gap" in rep.message
+        assert solve_convex_qcqp(problem, tol=1e-10).message == ""
 
     def test_centring_stops_at_decrement_floor(self, rng):
         # at large barrier weights the decrement bottoms out at rounding
@@ -220,10 +343,14 @@ class TestWaterfill:
 def dual_grid_oracle(a, g, h_list, power, target, noise, rounds=4, n=120):
     """Zoomed dual-grid search; independent primal lower bound.
 
-    Scans a (mu, beta) dual grid, rescales each candidate covariance onto the
-    power budget, keeps rate-feasible candidates, and refines around the top
-    few separated cells (the clipped objective over the grid can be
-    multi-modal, so single-cell zooming may lock onto the wrong basin).
+    Scans a (mu, beta) dual grid, rescales each candidate covariance that
+    exceeds the power budget onto it and spends the budget a candidate
+    leaves on the top generalized eigenvector (worth lam_top per unit of
+    power; the rate counted is that of the water-filling part alone, which
+    extra power cannot lower), keeps rate-feasible candidates, and refines
+    around the top few separated cells (the clipped objective over the grid
+    can be multi-modal, so single-cell zooming may lock onto the wrong
+    basin).
     """
     import scipy.linalg
 
@@ -266,8 +393,10 @@ def dual_grid_oracle(a, g, h_list, power, target, noise, rounds=4, n=120):
                 alloc[:, gains_k <= 0] = 0.0
                 rate_b += np.log1p(scale_b[:, None] * alloc * gains_k / noise).sum(axis=1) / k_sub
             ok = rate_b >= target - 1e-9
+            spare = np.maximum(power - pow_b, 0.0)
             for bi in np.nonzero(ok)[0]:
-                cands.append((float(obj_b[bi] * scale_b[bi]), fac, float(betas[bi])))
+                obj = obj_b[bi] * scale_b[bi] + spare[bi] * lam
+                cands.append((float(obj), fac, float(betas[bi])))
         cands.sort(key=lambda t: -t[0])
         return cands
 
@@ -286,6 +415,11 @@ def dual_grid_oracle(a, g, h_list, power, target, noise, rounds=4, n=120):
                 seen.append((fac, beta))
         if len(seeds) >= 4:
             break
+    # a budget left over goes on x_top, whose sensing gain per unit of power
+    # is the largest, so such optima sit at the smallest mu: seed the best
+    # cell there too
+    edge = min(fac for _, fac, _ in cands)
+    seeds.append(next((fac, beta) for _, fac, beta in cands if fac == edge))
     best = cands[0][0]
     span_f = (1e4 / 1e-8) ** (8.0 / n)
     span_b = 1e10 ** (8.0 / n)
@@ -392,13 +526,12 @@ class TestRateConstrainedTraceMax:
             assert res.power == pytest.approx(1.0, rel=1e-12)
             assert np.trace(g @ res.r_single).real == pytest.approx(1.0, rel=1e-9)
             assert _exact_rate([h], res.r_bb, 1e-12) >= target - 1e-9
-            # the grid oracle only rescales water-filling points and never
-            # spends unused power on x_top, so it stays a primal lower bound
-            # here; the dual function at the returned multipliers bounds the
-            # optimum from above
-            oracle = dual_grid_oracle(a, g, [h], 1.0, target, 1e-12)
+            # the grid oracle is a primal lower bound and the dual function
+            # at the returned multipliers an upper bound
+            oracle = dual_grid_oracle(a, g, [h], 1.0, target, 1e-12, rounds=6, n=160)
             upper = _dual_function(a, g, [h], 1.0, target, 1e-12, res.mu, res.beta)
             assert oracle <= res.objective * (1 + 1e-9)
+            assert abs(res.objective - oracle) <= 1e-5 * abs(oracle)
             assert res.objective <= upper * (1 + 1e-9)
             assert upper - res.objective <= 1e-5 * abs(res.objective)
 

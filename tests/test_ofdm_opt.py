@@ -233,6 +233,7 @@ class TestAoP2:
             assert rep.final_rate >= sc.rate_target - 1e-6
             assert rep.power_used <= sc.power + 1e-8
 
+    @pytest.mark.slow
     def test_flat_fading_equivalence_with_narrowband(self):
         # one tap: every carrier sees the same channel. (P2) with total power
         # P and average-rate target is then the narrowband problem with
