@@ -11,8 +11,7 @@ import math
 
 import isac_beamkit as bk
 from isac_beamkit.model import RxArchitecture
-from isac_beamkit.ofdm_opt import ao_p2
-from isac_beamkit.isac_opt import ao_p1
+from isac_beamkit.isac_opt import ao_p1, ao_p2
 
 LN2 = math.log(2.0)
 

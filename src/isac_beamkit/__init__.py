@@ -28,7 +28,6 @@ from .quadrature import (
 from .designs import (
     AoReport,
     HybridDesign,
-    OfdmDesign,
     RxDft,
     RxIdentity,
     RxPhases,
@@ -49,7 +48,6 @@ from .cvxkit import (
     RateInfeasibleError,
     SolverReport,
     mimo_capacity,
-    rate_constrained_trace_max,
     rate_constrained_trace_max_multi,
     solve_convex_qcqp,
     top_generalized_eig,
@@ -66,12 +64,11 @@ from .sensing_opt import (
 from .isac_opt import (
     WmmseAux,
     ao_p1,
+    ao_p2,
     fpp_sca_vrf,
     init_random_phase,
-    optimal_rbb_isac,
     wmmse_update,
 )
-from .ofdm_opt import ao_p2, fpp_sca_vrf_ofdm, optimal_rbb_ofdm, pcrb_ofdm_objective
 from .scenarios import default_ofdm_scenario, default_scenario, sensing_scenario
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .designs import (
     achieved_rate,
     default_rx,
 )
-from .isac_opt import ao_isac, ao_p1, init_random_phase
+from .isac_opt import ao_p1, ao_p2, init_random_phase
 from .model import (
     ArrayConfig,
     ModelError,
@@ -46,9 +46,8 @@ from .model import (
     steering_derivative,
     steering_vector,
 )
-from .ofdm_opt import ao_p2
 from .pcrb import PcrbEngine
-from .sensing_opt import ao_p0, ao_sensing
+from .sensing_opt import ao_sensing
 from .scenarios import dbm_to_watt
 
 
@@ -184,12 +183,8 @@ def _alignment_matrix(scenario: Scenario) -> np.ndarray:
 
 
 def _dispatch_ao(scenario: Scenario, engine: PcrbEngine, ao_options: dict) -> AoReport:
-    if scenario.rate_target <= 0:
-        keys = {k: v for k, v in ao_options.items() if k in ("max_outer", "tol", "restarts")}
-        return ao_p0(scenario, engine, **keys)
-    if scenario.subcarriers > 1:
-        return ao_p2(scenario, engine, **ao_options)
-    return ao_p1(scenario, engine, **ao_options)
+    optimize = ao_p2 if scenario.subcarriers > 1 else ao_p1
+    return optimize(scenario, engine, **ao_options)
 
 
 def _run_constrained_ao(
@@ -215,8 +210,8 @@ def _run_constrained_ao(
             btilde_fn=btilde_fn,
             **keys,
         )
-    driver = ao_p2 if scenario.subcarriers > 1 else ao_isac
-    return driver(
+    optimize = ao_p2 if scenario.subcarriers > 1 else ao_p1
+    return optimize(
         scenario,
         engine,
         init_design=init_design,

@@ -61,7 +61,7 @@ from .bench import (
 )
 from .cvxkit import RateInfeasibleError, SolverError
 from .designs import HybridDesign, RxDft, RxIdentity, RxPhases
-from .isac_opt import ao_p1
+from .isac_opt import ao_p1, ao_p2
 from .model import (
     ArrayConfig,
     GmmAnglePrior,
@@ -74,7 +74,6 @@ from .model import (
     WidebandChannelSpec,
     realize_channel,
 )
-from .ofdm_opt import ao_p2
 from .pcrb import PcrbEngine, assemble_pfim, pcrb_theta
 from .scenarios import channel_seed, db_to_linear, dbm_to_watt
 from .sensing_opt import ao_p0

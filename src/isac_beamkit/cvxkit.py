@@ -13,9 +13,9 @@ Three pieces, all deterministic and dependency-free beyond numpy/scipy:
     covariance, via Lagrange duality with two scalar multipliers: at a
     power dual mu the Lagrangian's maximizer is a water-filling whose level
     (the rate dual) exhausts the power budget in closed form, and one
-    monotone root search over mu meets the rate target. The same routine
-    covers the per-subcarrier case (one covariance per carrier,
-    average-rate constraint).
+    monotone root search over mu meets the rate target. It takes a list of
+    carriers (one covariance per carrier, average-rate constraint); the
+    narrowband problem is the list of one.
 """
 
 from __future__ import annotations
@@ -845,18 +845,4 @@ def rate_constrained_trace_max_multi(
         pt = duals.point(pt.mu * (1.0 + 1e-12), power)
     return TraceMaxResult(
         duals.covariances(pt), pt.objective, pt.rate, pt.power, k_sub * pt.level, pt.mu, "dual"
-    )
-
-
-def rate_constrained_trace_max(
-    a_eff: np.ndarray,
-    g_eff: np.ndarray,
-    h_eff: np.ndarray,
-    power: float,
-    rate_target: float,
-    noise: float,
-) -> TraceMaxResult:
-    """Narrowband digital-beamforming solver (single carrier)."""
-    return rate_constrained_trace_max_multi(
-        a_eff, g_eff, [np.asarray(h_eff)], power, rate_target, noise
     )

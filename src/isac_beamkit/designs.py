@@ -155,10 +155,6 @@ class HybridDesign:
         return float(sum(np.trace(t).real for t in self.tx_covariances()))
 
 
-# OFDM designs share the container; the only difference is len(r_bb) > 1.
-OfdmDesign = HybridDesign
-
-
 def digital_factor(r_bb: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
     """Thin factor V_bb with V_bb V_bb^H = r_bb, columns sqrt(eig)*vec.
 

@@ -1,17 +1,26 @@
-"""Narrowband ISAC hybrid beamforming: PCRB minimization under a rate floor.
+"""ISAC hybrid beamforming: PCRB minimization under a rate floor, K >= 1.
+
+Narrowband is the wideband OFDM problem with one sub-carrier, so one
+alternating optimization serves both. The angle information adds across
+sub-carriers through the trace sum, the rate constraint averages the
+per-subcarrier log-dets, and one analog matrix serves all carriers.
 
 Block structure of the alternating optimization:
 
   * transmit analog matrix: the log-det rate constraint is replaced by its
     weighted-MMSE surrogate (tight at the closed-form decoder/weight
-    optima), after which the subproblem in v = vec(V_rf) is a QCQP with
-    unit-modulus equalities. Those are split into convex <= halves plus
-    linearized >= halves with slack penalties, and the resulting convex
-    program is solved repeatedly around the current point (slacks collapse
-    to zero at a feasible stationary point);
-  * transmit digital covariance: exact Lagrange-duality solver (cvxkit);
+    optima); the per-subcarrier surrogates are stacked into one
+    subproblem in v = vec(V_rf), a QCQP with unit-modulus equalities.
+    Those are split into convex <= halves plus linearized >= halves with
+    slack penalties, and the resulting convex program is solved repeatedly
+    around the current point (slacks collapse to zero at a feasible
+    stationary point);
+  * transmit digital covariances, one per sub-carrier: exact
+    Lagrange-duality solver (cvxkit) with a power dual common to all
+    carriers;
   * receive side: closed-form per-entry phase alignment (partially
-    connected) or DFT-row selection (fully connected).
+    connected) or DFT-row selection (fully connected) against the
+    carrier-summed integral.
 
 Each block is committed only if it does not increase the PCRB and keeps the
 iterate feasible, so the reported objective trace is weakly decreasing.
@@ -30,29 +39,25 @@ from .cvxkit import (
     QuadConstraint,
     RateInfeasibleError,
     TraceMaxResult,
-    rate_constrained_trace_max,
     rate_constrained_trace_max_multi,
     solve_convex_qcqp,
 )
 from .designs import (
     AoReport,
     HybridDesign,
-    RxDft,
     RxIdentity,
-    RxPhases,
     achieved_rate,
     default_rx,
     digital_factor,
 )
-from .model import ArrayConfig, Scenario
+from .model import Scenario
 from .pcrb import PcrbEngine
 from .sensing_opt import (
     _initial_r_bb,
+    _rx_update,
+    _TraceObjective,
     ao_p0,
-    coordinate_update_receive,
-    dft_select_fc,
     random_sensing_design,
-    receive_quadratic,
 )
 
 RATE_TOL = 1e-6
@@ -345,35 +350,50 @@ def _run_fpp_sca(
 def fpp_sca_vrf(
     scenario: Scenario,
     a_tilde: np.ndarray,
-    r_bb: np.ndarray,
-    aux: WmmseAux,
+    r_bb_list,
+    aux_list: list[WmmseAux],
     v_init: np.ndarray,
     eps: float = 1e3,
     max_iters: int = 30,
 ) -> tuple[np.ndarray, FppScaState]:
-    """Transmit-analog update for the narrowband rate-constrained problem.
+    """Common transmit-analog update across all sub-carriers.
 
-    v_init is the vectorized current analog matrix (unit modulus). Returns
-    the unit-modulus update and the SCA state; on failure the caller should
+    r_bb_list and aux_list hold one digital covariance and one WMMSE
+    decoder/weight pair per sub-carrier. The stacked quadratics use the sum
+    of the digital covariances for the sensing and power forms and average
+    the per-subcarrier WMMSE pieces for the surrogate rate. v_init is the
+    vectorized current analog matrix (unit modulus). Returns the
+    unit-modulus update and the SCA state; on failure the caller should
     keep its previous iterate.
     """
     arrays = scenario.arrays
-    h = scenario.channel.per_subcarrier()[0]
-    v_bb = digital_factor(r_bb)
-    b1 = h.conj().T @ aux.q @ aux.u @ aux.q.conj().T @ h
-    b2 = v_bb @ aux.u @ aux.q.conj().T @ h
-    n_s = v_bb.shape[1]
-    sign, logdet_u = np.linalg.slogdet(aux.u)
-    eta = float(
-        logdet_u
-        + n_s
-        - np.trace(aux.u).real
-        - scenario.noise_comm * np.trace(aux.u @ aux.q.conj().T @ aux.q).real
-    )
-    ups1 = np.kron(r_bb.T, a_tilde)
-    ups2 = np.kron(r_bb.T, np.eye(arrays.n_tx))
-    rate_quad = np.kron(r_bb.T, b1)
-    c_vec = _vec(b2.T)
+    h_list = scenario.channel.per_subcarrier()
+    k_sub = len(h_list)
+    r_sum = np.zeros_like(np.asarray(r_bb_list[0]))
+    rate_quad = 0.0
+    c_vec = 0.0
+    eta = 0.0
+    for h, r, aux in zip(h_list, r_bb_list, aux_list):
+        r = np.asarray(r)
+        r_sum = r_sum + r
+        v_bb = digital_factor(r)
+        d1 = h.conj().T @ aux.q @ aux.u @ aux.q.conj().T @ h
+        d2 = v_bb @ aux.u @ aux.q.conj().T @ h
+        rate_quad = rate_quad + np.kron(r.T, d1) / k_sub
+        c_vec = c_vec + _vec(d2.T) / k_sub
+        n_s = v_bb.shape[1]
+        sign, logdet_u = np.linalg.slogdet(aux.u)
+        eta += (
+            float(
+                logdet_u
+                + n_s
+                - np.trace(aux.u).real
+                - scenario.noise_comm * np.trace(aux.u @ aux.q.conj().T @ aux.q).real
+            )
+            / k_sub
+        )
+    ups1 = np.kron(r_sum.T, a_tilde)
+    ups2 = np.kron(r_sum.T, np.eye(arrays.n_tx))
     state = _run_fpp_sca(
         ups1,
         ups2,
@@ -389,28 +409,14 @@ def fpp_sca_vrf(
     return _unvec(state.v, arrays.n_tx, arrays.n_rf_tx), state
 
 
-def optimal_rbb_isac(
-    a_tilde: np.ndarray,
-    v_rf: Optional[np.ndarray],
-    h: np.ndarray,
-    power: float,
-    rate_target: float,
-    noise: float,
-) -> TraceMaxResult:
-    """Optimal digital covariance in the RF-chain basis for fixed analog parts."""
-    if v_rf is None:
-        return rate_constrained_trace_max(a_tilde, np.eye(a_tilde.shape[0]), h, power, rate_target, noise)
-    a_eff = v_rf.conj().T @ a_tilde @ v_rf
-    g_eff = v_rf.conj().T @ v_rf
-    return rate_constrained_trace_max(a_eff, g_eff, h @ v_rf, power, rate_target, noise)
-
-
 def _optimal_rbb_design(
     scenario: Scenario, design: HybridDesign, a_tilde: np.ndarray
 ) -> tuple[HybridDesign, TraceMaxResult]:
     """Re-solve the digital covariances for the design's analog parts.
 
-    a_tilde is the sensing integral A1 of the design's receive matrix.
+    a_tilde is the sensing integral A1 of the design's receive matrix. The
+    solver sees it, the Gram matrix and every carrier's channel reduced by
+    the analog matrix (unreduced for a fully-digital transmitter).
     """
     arrays = scenario.arrays
     h_list = scenario.channel.per_subcarrier()
@@ -425,31 +431,6 @@ def _optimal_rbb_design(
         a_eff, g_eff, h_eff, scenario.power, scenario.rate_target, scenario.noise_comm
     )
     return HybridDesign(v, tuple(res.r_bb), design.rx), res
-
-
-class _TraceObjective:
-    """PCRB of a design from the trace against a1_fn (A1 or a surrogate).
-
-    Designs of one AO run share their receive descriptor until the receive
-    block replaces it, so keeping the last (descriptor, A1) pair evaluates
-    A1 once per receive matrix.
-    """
-
-    def __init__(self, engine: PcrbEngine, arrays: ArrayConfig, a1_fn: Callable):
-        self.engine = engine
-        self.arrays = arrays
-        self.a1_fn = a1_fn
-        self._rx = self._a1 = None
-
-    def a1(self, rx) -> np.ndarray:
-        if rx is not self._rx:
-            self._rx, self._a1 = rx, self.a1_fn(rx.matrix(self.arrays))
-        return self._a1
-
-    def __call__(self, design: HybridDesign) -> float:
-        a1 = self.a1(design.rx)
-        tr = sum(np.trace(a1 @ t).real for t in design.tx_covariances())
-        return self.engine.pcrb_from_trace(design.rx.kappa(self.arrays), tr)
 
 
 def init_random_phase(
@@ -551,41 +532,50 @@ def ao_isac(
     a1_fn: Optional[Callable] = None,
     btilde_fn: Optional[Callable] = None,
 ) -> AoReport:
-    """Alternating optimization for the narrowband rate-constrained problem.
+    """Alternating optimization for the rate-constrained problem, any K.
 
-    Hooks mirror ao_sensing: a1_fn/btilde_fn replace the prior-weighted
-    integrals for surrogate-objective benchmark schemes, in which case the
-    trace logs the surrogate while final_pcrb stays the true bound.
+    Blocks per outer iteration: the common analog matrix via stacked
+    WMMSE/FPP-SCA (skipped when the transmitter is fully digital or
+    fixed_v is set) with an immediate exact digital re-solve, then the
+    receive update against the carrier-summed integral. Every block is
+    committed only if the PCRB does not increase and the iterate stays
+    feasible. Hooks mirror ao_sensing: a1_fn/btilde_fn replace the
+    prior-weighted integrals for surrogate-objective benchmark schemes, in
+    which case the trace logs the surrogate while final_pcrb stays the true
+    bound.
     """
     t_start = time.perf_counter()
     if engine is None:
         engine = PcrbEngine(scenario)
     arrays = scenario.arrays
-    surrogate = _TraceObjective(engine, arrays, a1_fn or engine.a1)
+    h_list = scenario.channel.per_subcarrier()
+    objective = _TraceObjective(engine, arrays, a1_fn or engine.a1)
     btilde_fn = btilde_fn or engine.b_tilde
 
-    design = _start_design(scenario, engine, n_init, init_design, surrogate)
-    current = surrogate(design)
+    design = _start_design(scenario, engine, n_init, init_design, objective)
+    current = objective(design)
     trace = [current]
-    h = scenario.channel.per_subcarrier()[0]
 
     converged = False
     for _ in range(max_outer):
         changed = False
         analog_failed = False
         # --- transmit analog (+ immediate digital re-solve) ---------------
+        a_tilde = objective.a1(design.rx)
+        cand = design
         if design.v_rf is not None and not fixed_v:
-            a_tilde = surrogate.a1(design.rx)
             v_bar = _vec(design.v_rf)
-            r_bb = design.r_bb[0]
             for _round in range(wmmse_rounds):
-                v_bb = digital_factor(r_bb)
-                aux = wmmse_update(h, _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx), v_bb, scenario.noise_comm)
+                v_cur = _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx)
+                aux_list = [
+                    wmmse_update(h, v_cur, digital_factor(r), scenario.noise_comm)
+                    for h, r in zip(h_list, design.r_bb)
+                ]
                 v_new, state = fpp_sca_vrf(
                     scenario,
                     a_tilde,
-                    r_bb,
-                    aux,
+                    design.r_bb,
+                    aux_list,
                     v_bar,
                     eps=eps,
                     max_iters=sca_iters,
@@ -594,24 +584,13 @@ def ao_isac(
                     analog_failed = True
                     break
                 v_bar = _vec(v_new)
-            if not analog_failed:
-                cand = HybridDesign(
-                    _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx), design.r_bb, design.rx
-                )
-                try:
-                    cand, _ = _optimal_rbb_design(scenario, cand, a_tilde)
-                    value = surrogate(cand)
-                    if value <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
-                        if value < trace[-1]:
-                            changed = True
-                        design, current = cand, value
-                except RateInfeasibleError:
-                    pass
-        else:
-            # analog transmit fixed: keep the digital covariance optimal
+            cand = HybridDesign(
+                _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx), design.r_bb, design.rx
+            )
+        if not analog_failed:
             try:
-                cand, _ = _optimal_rbb_design(scenario, design, surrogate.a1(design.rx))
-                value = surrogate(cand)
+                cand, _ = _optimal_rbb_design(scenario, cand, a_tilde)
+                value = objective(cand)
                 if value <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
                     if value < trace[-1] * (1 - 1e-12):
                         changed = True
@@ -621,15 +600,9 @@ def ao_isac(
 
         # --- receive side --------------------------------------------------
         if update_rx and not isinstance(design.rx, RxIdentity):
-            tx_total = sum(design.tx_covariances())
-            b_tilde = btilde_fn(tx_total)
-            if isinstance(design.rx, RxDft):
-                rx_new = RxDft(dft_select_fc(b_tilde, arrays.n_rf_rx))
-            else:
-                pi = receive_quadratic(b_tilde, arrays.n_rf_rx)
-                rx_new = RxPhases(coordinate_update_receive(design.rx.d, pi))
+            rx_new = _rx_update(scenario, design, btilde_fn(sum(design.tx_covariances())))
             cand = HybridDesign(design.v_rf, design.r_bb, rx_new)
-            value = surrogate(cand)
+            value = objective(cand)
             if value <= trace[-1] * (1 + 1e-12):
                 if value < trace[-1] * (1 - 1e-12):
                     changed = True
@@ -642,17 +615,28 @@ def ao_isac(
             converged = not analog_failed
             break
 
-    rate = achieved_rate(scenario, design)
     return AoReport(
         trace=trace,
         design=design,
         converged=converged,
         wall_time=time.perf_counter() - t_start,
         final_pcrb=engine.pcrb(design),
-        final_rate=rate,
+        final_rate=achieved_rate(scenario, design),
         power_used=design.total_power(),
         feasible=_feasible(scenario, design),
     )
+
+
+def _sensing_problem(scenario: Scenario, engine: Optional[PcrbEngine], kw: dict) -> AoReport:
+    """ao_p0 for a zero rate target, with the caller's max_outer, tol and restarts.
+
+    Without a rate floor the problem is sensing-only, and the sensing loop's
+    transmit update is exact rather than SCA-based. The ISAC-only options
+    (n_init, wmmse_rounds, sca_iters, eps, init_design, fixed_v, update_rx,
+    a1_fn, btilde_fn) do not apply to it and are ignored.
+    """
+    keys = {k: v for k, v in kw.items() if k in ("max_outer", "tol", "restarts")}
+    return ao_p0(scenario, engine, **keys)
 
 
 def ao_p1(
@@ -660,16 +644,28 @@ def ao_p1(
     engine: Optional[PcrbEngine] = None,
     **kw,
 ) -> AoReport:
-    """Narrowband ISAC alternating optimization.
+    """Narrowband ISAC alternating optimization: ao_isac on one sub-carrier.
 
-    A zero rate target makes the problem sensing-only, so it is delegated
-    to the sensing loop (whose transmit update is exact rather than
-    SCA-based).
+    A zero rate target runs the sensing loop instead (see _sensing_problem).
     """
     if scenario.subcarriers != 1:
         raise ValueError("ao_p1 expects a narrowband scenario (1 sub-carrier)")
     if scenario.rate_target <= 0:
-        if engine is None:
-            engine = PcrbEngine(scenario)
-        return ao_p0(scenario, engine)
+        return _sensing_problem(scenario, engine, kw)
     return ao_isac(scenario, engine, **kw)
+
+
+def ao_p2(
+    scenario: Scenario,
+    engine: Optional[PcrbEngine] = None,
+    **kw,
+) -> AoReport:
+    """OFDM ISAC alternating optimization: ao_isac for any number of carriers.
+
+    Its defaults differ from ao_isac's: max_outer=10 and sca_iters=4 unless
+    given. A zero rate target runs the sensing loop instead (see
+    _sensing_problem).
+    """
+    if scenario.rate_target <= 0:
+        return _sensing_problem(scenario, engine, kw)
+    return ao_isac(scenario, engine, **{"max_outer": 10, "sca_iters": 4, **kw})

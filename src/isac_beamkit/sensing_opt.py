@@ -27,7 +27,7 @@ from .designs import (
     dft_matrix,
 )
 from .cvxkit import top_generalized_eig
-from .model import RxArchitecture, Scenario
+from .model import ArrayConfig, RxArchitecture, Scenario
 from .pcrb import PcrbEngine
 
 
@@ -172,14 +172,29 @@ def _rx_update(
     return RxPhases(coordinate_update_receive(design.rx.d, pi))
 
 
-def _surrogate_pcrb(
-    engine: PcrbEngine, design: HybridDesign, a1_fn: Callable
-) -> float:
-    w = design.rx.matrix(engine.scenario.arrays)
-    kappa = design.rx.kappa(engine.scenario.arrays)
-    a1 = a1_fn(w)
-    tr = sum(np.trace(a1 @ t).real for t in design.tx_covariances())
-    return engine.pcrb_from_trace(kappa, tr)
+class _TraceObjective:
+    """PCRB of a design from the trace against a1_fn (A1 or a surrogate).
+
+    Designs of one AO run share their receive descriptor until the receive
+    block replaces it, so keeping the last (descriptor, A1) pair evaluates
+    A1 once per receive matrix.
+    """
+
+    def __init__(self, engine: PcrbEngine, arrays: ArrayConfig, a1_fn: Callable):
+        self.engine = engine
+        self.arrays = arrays
+        self.a1_fn = a1_fn
+        self._rx = self._a1 = None
+
+    def a1(self, rx) -> np.ndarray:
+        if rx is not self._rx:
+            self._rx, self._a1 = rx, self.a1_fn(rx.matrix(self.arrays))
+        return self._a1
+
+    def __call__(self, design: HybridDesign) -> float:
+        a1 = self.a1(design.rx)
+        tr = sum(np.trace(a1 @ t).real for t in design.tx_covariances())
+        return self.engine.pcrb_from_trace(design.rx.kappa(self.arrays), tr)
 
 
 def ao_sensing(
@@ -206,7 +221,7 @@ def ao_sensing(
     if engine is None:
         engine = PcrbEngine(scenario)
     arrays = scenario.arrays
-    a1_fn = a1_fn or engine.a1
+    objective = _TraceObjective(engine, arrays, a1_fn or engine.a1)
     btilde_fn = btilde_fn or (lambda tx_cov: engine.b_tilde(tx_cov))
 
     if init_design is None:
@@ -215,7 +230,7 @@ def ao_sensing(
     else:
         design = init_design
 
-    trace = [_surrogate_pcrb(engine, design, a1_fn)]
+    trace = [objective(design)]
     if scenario.power == 0.0:
         return AoReport(
             trace=trace,
@@ -231,15 +246,13 @@ def ao_sensing(
     converged = False
     for _ in range(max_outer):
         if update_tx:
-            w = design.rx.matrix(arrays)
-            a_tilde = a1_fn(w)
-            design = _sensing_tx_update(scenario, a_tilde, design, fixed_v)
+            design = _sensing_tx_update(scenario, objective.a1(design.rx), design, fixed_v)
         if update_rx and not isinstance(design.rx, RxIdentity):
             tx_total = sum(design.tx_covariances())
             design = HybridDesign(
                 design.v_rf, design.r_bb, _rx_update(scenario, design, btilde_fn(tx_total))
             )
-        trace.append(_surrogate_pcrb(engine, design, a1_fn))
+        trace.append(objective(design))
         if abs(trace[-2] - trace[-1]) <= tol * trace[-2]:
             converged = True
             break

@@ -24,11 +24,10 @@ from isac_beamkit.bench import (
     run_scheme,
     sweep,
 )
-from isac_beamkit.cvxkit import mimo_capacity, rate_constrained_trace_max
+from isac_beamkit.cvxkit import mimo_capacity, rate_constrained_trace_max_multi
 from isac_beamkit.designs import HybridDesign, RxPhases, dft_matrix
-from isac_beamkit.isac_opt import ao_isac, ao_p1, wmmse_update
+from isac_beamkit.isac_opt import ao_isac, ao_p1, ao_p2, wmmse_update
 from isac_beamkit.model import GmmAnglePrior, RxArchitecture
-from isac_beamkit.ofdm_opt import ao_p2
 from isac_beamkit.pcrb import PcrbEngine, assemble_pfim, fim_oracle
 from isac_beamkit.sensing_opt import ao_p0, dft_select_fc
 
@@ -186,7 +185,7 @@ class TestCriterion6:
             h = 1e-6 * (rng.standard_normal((n_u, n)) + 1j * rng.standard_normal((n_u, n)))
             cap = mimo_capacity([h], g, 1.0, 1e-12)
             target = float(rng.uniform(0.5, 0.97)) * cap
-            res = rate_constrained_trace_max(a, g, h, 1.0, target, 1e-12)
+            res = rate_constrained_trace_max_multi(a, g, [h], 1.0, target, 1e-12)
             assert abs((res.rate - target) * res.beta) <= 1e-6
             assert abs((1.0 - res.power) * res.mu) <= 1e-6
             if res.branch == "sensing":

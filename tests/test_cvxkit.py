@@ -14,7 +14,6 @@ from isac_beamkit.cvxkit import (
     _exact_rate,
     _inv_sqrt_psd,
     mimo_capacity,
-    rate_constrained_trace_max,
     rate_constrained_trace_max_multi,
     solve_convex_qcqp,
     top_generalized_eig,
@@ -448,7 +447,7 @@ class TestRateConstrainedTraceMax:
 
     def test_zero_target_rank_one_full_power(self, rng):
         a, g, h = self._instance(rng)
-        res = rate_constrained_trace_max(a, g, h, 1.0, 0.0, 1e-12)
+        res = rate_constrained_trace_max_multi(a, g, [h], 1.0, 0.0, 1e-12)
         assert res.branch == "sensing"
         assert res.power == pytest.approx(1.0)
         lam, _ = top_generalized_eig(a, g)
@@ -458,7 +457,7 @@ class TestRateConstrainedTraceMax:
     def test_zero_sensing_matrix_waterfills(self, rng):
         _, g, h = self._instance(rng)
         cap = mimo_capacity([h], g, 1.0, 1e-12)
-        res = rate_constrained_trace_max(np.zeros((3, 3)), g, h, 1.0, 0.5 * cap, 1e-12)
+        res = rate_constrained_trace_max_multi(np.zeros((3, 3)), g, [h], 1.0, 0.5 * cap, 1e-12)
         assert res.branch == "capacity"
         assert res.rate == pytest.approx(cap, rel=1e-12)
 
@@ -466,7 +465,7 @@ class TestRateConstrainedTraceMax:
         a, g, h = self._instance(rng)
         cap = mimo_capacity([h], g, 1.0, 1e-12)
         with pytest.raises(RateInfeasibleError) as exc:
-            rate_constrained_trace_max(a, g, h, 1.0, cap * 1.05, 1e-12)
+            rate_constrained_trace_max_multi(a, g, [h], 1.0, cap * 1.05, 1e-12)
         assert exc.value.max_rate == pytest.approx(cap, rel=1e-9)
 
     def test_dual_solution_matches_grid_oracle(self, rng):
@@ -474,7 +473,7 @@ class TestRateConstrainedTraceMax:
             a, g, h = self._instance(rng)
             cap = mimo_capacity([h], g, 1.0, 1e-12)
             target = 0.85 * cap
-            res = rate_constrained_trace_max(a, g, h, 1.0, target, 1e-12)
+            res = rate_constrained_trace_max_multi(a, g, [h], 1.0, target, 1e-12)
             oracle = dual_grid_oracle(a, g, [h], 1.0, target, 1e-12, rounds=6, n=160)
             assert res.objective >= oracle - 1e-9 * abs(oracle)
             assert abs(res.objective - oracle) <= 1e-5 * abs(oracle)
@@ -485,15 +484,17 @@ class TestRateConstrainedTraceMax:
         a, g, h = self._instance(rng)
         cap = mimo_capacity([h], g, 1.0, 1e-12)
         target = 0.9 * cap
-        res = rate_constrained_trace_max(a, g, h, 1.0, target, 1e-12)
+        res = rate_constrained_trace_max_multi(a, g, [h], 1.0, target, 1e-12)
         assert abs((res.rate - target) * res.beta) <= 1e-6
         assert abs((1.0 - res.power) * res.mu) <= 1e-6
 
     def test_multi_carrier_reduces_to_single(self, rng):
+        # two equal carriers split the optimum evenly (the average rate is
+        # concave), so they solve the one-carrier problem at twice the noise
         a, g, h = self._instance(rng)
-        cap = mimo_capacity([h], g, 1.0, 1e-12)
-        res1 = rate_constrained_trace_max(a, g, h, 1.0, 0.8 * cap, 1e-12)
-        resk = rate_constrained_trace_max_multi(a, g, [h], 1.0, 0.8 * cap, 1e-12)
+        cap = mimo_capacity([h], g, 1.0, 2e-12)
+        res1 = rate_constrained_trace_max_multi(a, g, [h], 1.0, 0.8 * cap, 2e-12)
+        resk = rate_constrained_trace_max_multi(a, g, [h, h], 1.0, 0.8 * cap, 1e-12)
         assert res1.objective == pytest.approx(resk.objective, rel=1e-10)
 
     def test_two_carriers_against_grid_oracle(self, rng):
@@ -520,7 +521,7 @@ class TestRateConstrainedTraceMax:
         cap = mimo_capacity([h], g, 1.0, 1e-12)
         for frac in (0.3, 0.6, 0.9):
             target = frac * cap
-            res = rate_constrained_trace_max(a, g, h, 1.0, target, 1e-12)
+            res = rate_constrained_trace_max_multi(a, g, [h], 1.0, target, 1e-12)
             assert res.branch == "dual"
             assert res.rate >= target - 1e-9
             assert res.power == pytest.approx(1.0, rel=1e-12)

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from isac_beamkit.cvxkit import RateInfeasibleError, mimo_capacity
+from isac_beamkit.cvxkit import RateInfeasibleError, mimo_capacity, rate_constrained_trace_max_multi
 from isac_beamkit.designs import HybridDesign, RxIdentity, RxPhases, achieved_rate, digital_factor
 from isac_beamkit.isac_opt import (
+    _optimal_rbb_design,
     _vec,
     ao_isac,
     ao_p1,
+    ao_p2,
     fpp_sca_vrf,
     init_random_phase,
-    optimal_rbb_isac,
     wmmse_update,
 )
 from isac_beamkit.model import RxArchitecture
@@ -30,6 +31,12 @@ def feasible_rate_scenario(seed=0, frac=0.7, **kw):
     h = sc.channel.per_subcarrier()[0]
     cap = mimo_capacity([h @ v], v.conj().T @ v, sc.power, sc.noise_comm)
     return sc.replace(rate_target=frac * cap)
+
+
+def digital_stage(sc, a_tilde, v, rate_target):
+    """The AO's exact digital stage for the analog matrix v on sc's carriers."""
+    start = HybridDesign(v, (np.eye(v.shape[1], dtype=complex),) * sc.subcarriers, RxIdentity())
+    return _optimal_rbb_design(sc.replace(rate_target=rate_target), start, a_tilde)[1]
 
 
 class TestWmmse:
@@ -63,7 +70,7 @@ class TestOptimalRbb:
         v = random_phases(rng, (4, 2))
         w = RxPhases(random_phases(rng, 4)).matrix(sc.arrays)
         a_tilde = eng.a1(w)
-        res = optimal_rbb_isac(a_tilde, v, sc.channel.h, sc.power, 0.0, sc.noise_comm)
+        res = digital_stage(sc, a_tilde, v, 0.0)
         assert res.branch == "sensing"
         assert np.linalg.matrix_rank(res.r_single, tol=1e-10) == 1
 
@@ -72,7 +79,7 @@ class TestOptimalRbb:
         v = random_phases(rng, (4, 2))
         h = sc.channel.h
         cap = mimo_capacity([h @ v], v.conj().T @ v, sc.power, sc.noise_comm)
-        res = optimal_rbb_isac(np.zeros((4, 4)), v, h, sc.power, 0.5 * cap, sc.noise_comm)
+        res = digital_stage(sc, np.zeros((4, 4)), v, 0.5 * cap)
         assert res.branch == "capacity"
         assert res.rate == pytest.approx(cap, rel=1e-10)
         assert res.power <= sc.power + 1e-8
@@ -86,12 +93,12 @@ class TestFppSca:
         w = rx.matrix(sc.arrays)
         a_tilde = eng.a1(w)
         v = random_phases(rng, (4, 2))
-        res = optimal_rbb_isac(a_tilde, v, sc.channel.h, sc.power, sc.rate_target, sc.noise_comm)
+        res = digital_stage(sc, a_tilde, v, sc.rate_target)
         aux = wmmse_update(sc.channel.h, v, digital_factor(res.r_single), sc.noise_comm)
-        v1, st1 = fpp_sca_vrf(sc, a_tilde, res.r_single, aux, _vec(v), max_iters=6)
+        v1, st1 = fpp_sca_vrf(sc, a_tilde, [res.r_single], [aux], _vec(v), max_iters=6)
         # restarting from the converged point must not move the objective
         aux2 = wmmse_update(sc.channel.h, v1, digital_factor(res.r_single), sc.noise_comm)
-        v2, st2 = fpp_sca_vrf(sc, a_tilde, res.r_single, aux2, _vec(v1), max_iters=6)
+        v2, st2 = fpp_sca_vrf(sc, a_tilde, [res.r_single], [aux2], _vec(v1), max_iters=6)
         o1 = np.real(np.vdot(_vec(v1), np.kron(res.r_single.T, a_tilde) @ _vec(v1)))
         o2 = np.real(np.vdot(_vec(v2), np.kron(res.r_single.T, a_tilde) @ _vec(v2)))
         assert o2 >= o1 - 1e-6 * abs(o1)
@@ -103,9 +110,9 @@ class TestFppSca:
         rx = RxPhases(random_phases(rng, 4))
         a_tilde = eng.a1(rx.matrix(sc.arrays))
         v = random_phases(rng, (4, 2))
-        res = optimal_rbb_isac(a_tilde, v, sc.channel.h, sc.power, sc.rate_target, sc.noise_comm)
+        res = digital_stage(sc, a_tilde, v, sc.rate_target)
         aux = wmmse_update(sc.channel.h, v, digital_factor(res.r_single), sc.noise_comm)
-        v_new, state = fpp_sca_vrf(sc, a_tilde, res.r_single, aux, _vec(v), max_iters=60)
+        v_new, state = fpp_sca_vrf(sc, a_tilde, [res.r_single], [aux], _vec(v), max_iters=60)
         assert state.ok
         diffs = np.diff(state.objective_trace)
         assert np.all(diffs >= -1e-6 * max(1.0, max(map(abs, state.objective_trace))))
@@ -134,7 +141,7 @@ class TestFppSca:
             v_c = coordinate_update_transmit(v_c, a_tilde)
         obj_coord = np.real(v_c.conj() @ a_tilde @ v_c)
         aux = wmmse_update(sc.channel.h, v0[:, None], digital_factor(r), sc.noise_comm)
-        v_new, state = fpp_sca_vrf(sc, a_tilde, r, aux, v0, max_iters=400)
+        v_new, state = fpp_sca_vrf(sc, a_tilde, [r], [aux], v0, max_iters=400)
         obj_sca = np.real(_vec(v_new).conj() @ np.kron(r.T, a_tilde) @ _vec(v_new)) / r[0, 0].real
         assert state.ok
         assert obj_sca >= obj_coord * (1 - 1e-6)
@@ -150,7 +157,7 @@ class TestFppSca:
         des = init_random_phase(sc, 4, seed=1, engine=eng)
         a_tilde = eng.a1(des.rx.matrix(sc.arrays))
         aux = wmmse_update(sc.channel.h, des.v_rf, digital_factor(des.r_bb[0]), sc.noise_comm)
-        v_new, state = fpp_sca_vrf(sc, a_tilde, des.r_bb[0], aux, _vec(des.v_rf), max_iters=2)
+        v_new, state = fpp_sca_vrf(sc, a_tilde, [des.r_bb[0]], [aux], _vec(des.v_rf), max_iters=2)
         assert state.slack_trace[-1] > 5e-2
         assert not state.converged
         assert state.ok
@@ -190,7 +197,7 @@ class TestFppSca:
             if rate0 < sc.rate_target:
                 continue
             aux = wmmse_update(h, v0[:, None], digital_factor(r), sc.noise_comm)
-            v_new, state = fpp_sca_vrf(sc, a_tilde, r, aux, v0, max_iters=25)
+            v_new, state = fpp_sca_vrf(sc, a_tilde, [r], [aux], v0, max_iters=25)
             if not state.ok:
                 continue
             des_rate = np.linalg.slogdet(
@@ -237,6 +244,19 @@ class TestAoP1:
         ref = ao_p0(sc, eng)
         assert rep.final_pcrb == pytest.approx(ref.final_pcrb, rel=1e-12)
 
+    def test_zero_rate_target_forwards_sensing_options(self):
+        # both public names hand max_outer, tol and restarts to the sensing
+        # loop, which runs 14 outer iterations on this scenario by default
+        for optimize, k in ((ao_p1, 1), (ao_p2, 1), (ao_p2, 2)):
+            sc = make_scenario(seed=1, subcarriers=k)
+            eng = PcrbEngine(sc)
+            rep = optimize(sc, eng, max_outer=1)
+            assert len(rep.trace) <= 2
+            ref = ao_p0(sc, eng, max_outer=1, tol=1e-6, restarts=2)
+            rep = optimize(sc, eng, max_outer=1, tol=1e-6, restarts=2, n_init=3, sca_iters=2)
+            assert rep.trace == ref.trace
+            assert rep.final_pcrb == ref.final_pcrb
+
     def test_identities_match_convex_optimum(self):
         sc = feasible_rate_scenario(
             seed=12, n_tx=4, n_rx=4, n_rf_tx=4, n_rf_rx=4,
@@ -247,11 +267,10 @@ class TestAoP1:
             None, (np.eye(4, dtype=complex) * sc.power / 4,), RxIdentity()
         )
         rep = ao_isac(sc, eng, init_design=init)
-        from isac_beamkit.cvxkit import rate_constrained_trace_max
 
         a_fd = eng.a1(np.eye(4))
-        res = rate_constrained_trace_max(
-            a_fd, np.eye(4), sc.channel.h, sc.power, sc.rate_target, sc.noise_comm
+        res = rate_constrained_trace_max_multi(
+            a_fd, np.eye(4), [sc.channel.h], sc.power, sc.rate_target, sc.noise_comm
         )
         best = eng.pcrb_from_trace(1.0, res.objective)
         assert rep.final_pcrb == pytest.approx(best, rel=1e-6)
@@ -285,7 +304,7 @@ class TestAoP1:
     def test_failed_analog_block_is_not_convergence(self, monkeypatch):
         import isac_beamkit.isac_opt as isac_opt
 
-        def failing_sca(scenario, a_tilde, r_bb, aux, v_init, eps=1e3, max_iters=30):
+        def failing_sca(scenario, a_tilde, r_bb_list, aux_list, v_init, eps=1e3, max_iters=30):
             v = isac_opt._unvec(v_init, scenario.arrays.n_tx, scenario.arrays.n_rf_tx)
             return v, isac_opt.FppScaState(v=v_init, eps=eps, ok=False)
 

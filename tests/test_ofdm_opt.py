@@ -3,20 +3,14 @@ import pytest
 
 from isac_beamkit.cvxkit import mimo_capacity
 from isac_beamkit.designs import HybridDesign, RxPhases, digital_factor
-from isac_beamkit.isac_opt import _vec, ao_isac, ao_p1, fpp_sca_vrf, init_random_phase, wmmse_update
+from isac_beamkit.isac_opt import _vec, ao_isac, ao_p1, ao_p2, fpp_sca_vrf, init_random_phase, wmmse_update
 from isac_beamkit.model import WidebandChannel
-from isac_beamkit.ofdm_opt import (
-    ao_p2,
-    fpp_sca_vrf_ofdm,
-    optimal_rbb_ofdm,
-    pcrb_ofdm_objective,
-)
 from isac_beamkit.pcrb import PcrbEngine, fim_oracle
 from isac_beamkit.sensing_opt import ao_p0
 
 from conftest import make_scenario, random_phases, random_psd
 from test_cvxkit import dual_grid_oracle
-from test_isac_opt import feasible_rate_scenario
+from test_isac_opt import digital_stage, feasible_rate_scenario
 
 
 def ofdm_feasible_scenario(seed=0, k=2, frac=0.6, **kw):
@@ -37,7 +31,7 @@ class TestObjective:
             (np.zeros((2, 2)),) * 3,
             RxPhases(np.ones(4)),
         )
-        assert pcrb_ofdm_objective(sc, des, eng) == pytest.approx(1.0 / eng.f_p_theta)
+        assert eng.pcrb(des) == pytest.approx(1.0 / eng.f_p_theta)
 
     def test_split_covariance_matches_narrowband(self, rng):
         # identical channels, R/2 on each of two carriers == R on one carrier
@@ -53,17 +47,9 @@ class TestObjective:
         )
         eng2 = PcrbEngine(sc2, eng1.grid)
         split = HybridDesign(v, (r / 2, r / 2), rx)
-        assert pcrb_ofdm_objective(sc2, split, eng2) == pytest.approx(
+        assert eng2.pcrb(split) == pytest.approx(
             eng1.pcrb(nb), rel=1e-14
         )
-
-    def test_k1_is_bitwise_narrowband(self, rng):
-        sc = make_scenario(seed=2)
-        eng = PcrbEngine(sc)
-        v = random_phases(rng, (4, 2))
-        r = random_psd(rng, 2, 0.01)
-        des = HybridDesign(v, (r,), RxPhases(np.ones(4)))
-        assert pcrb_ofdm_objective(sc, des, eng) == eng.pcrb(des)
 
     def test_label_permutation_invariance(self, rng):
         sc = make_scenario(seed=3, subcarriers=3)
@@ -73,12 +59,8 @@ class TestObjective:
         rx = RxPhases(random_phases(rng, 4))
         d1 = HybridDesign(v, rs, rx)
         perm = (2, 0, 1)
-        hs = sc.channel.per_subcarrier()
-        sc_p = sc.replace(channel=WidebandChannel(tuple(hs[i] for i in perm)))
         d2 = HybridDesign(v, tuple(rs[i] for i in perm), rx)
-        assert pcrb_ofdm_objective(sc_p, d2, eng) == pytest.approx(
-            pcrb_ofdm_objective(sc, d1, eng), rel=1e-14
-        )
+        assert eng.pcrb(d2) == pytest.approx(eng.pcrb(d1), rel=1e-14)
 
     def test_matches_per_carrier_oracle_sum(self, rng):
         sc = make_scenario(seed=4, subcarriers=4, symbols=8)
@@ -97,28 +79,13 @@ class TestObjective:
 
 
 class TestDigitalStage:
-    def test_k1_reduction(self, rng):
-        from isac_beamkit.isac_opt import optimal_rbb_isac
-
-        sc = ofdm_feasible_scenario(seed=5, k=1)
-        eng = PcrbEngine(sc)
-        v = random_phases(rng, (4, 2))
-        w = RxPhases(random_phases(rng, 4)).matrix(sc.arrays)
-        a_tilde = eng.a1(w)
-        h = sc.channel.per_subcarrier()[0]
-        res_k = optimal_rbb_ofdm(a_tilde, v, [h], sc.power, sc.rate_target, sc.noise_comm)
-        res_1 = optimal_rbb_isac(a_tilde, v, h, sc.power, sc.rate_target, sc.noise_comm)
-        assert res_k.objective == pytest.approx(res_1.objective, rel=1e-10)
-
     def test_zero_target_concentrates_on_first_carrier(self, rng):
         sc = make_scenario(seed=6, subcarriers=3)
         eng = PcrbEngine(sc)
         v = random_phases(rng, (4, 2))
         w = RxPhases(random_phases(rng, 4)).matrix(sc.arrays)
         a_tilde = eng.a1(w)
-        res = optimal_rbb_ofdm(
-            a_tilde, v, sc.channel.per_subcarrier(), sc.power, 0.0, sc.noise_comm
-        )
+        res = digital_stage(sc, a_tilde, v, 0.0)
         assert np.trace(res.r_bb[0]).real == pytest.approx(
             sc.power / np.trace(v.conj().T @ v).real * 2, rel=1e-9
         ) or np.trace(res.r_bb[0]).real > 0
@@ -134,9 +101,7 @@ class TestDigitalStage:
         a_eff = v.conj().T @ a_tilde @ v
         g_eff = v.conj().T @ v
         h_eff = [h @ v for h in sc.channel.per_subcarrier()]
-        res = optimal_rbb_ofdm(
-            a_tilde, v, sc.channel.per_subcarrier(), sc.power, sc.rate_target, sc.noise_comm
-        )
+        res = digital_stage(sc, a_tilde, v, sc.rate_target)
         oracle = dual_grid_oracle(
             a_eff, g_eff, h_eff, sc.power, sc.rate_target, sc.noise_comm, rounds=6, n=200
         )
@@ -146,20 +111,6 @@ class TestDigitalStage:
 
 
 class TestAnalogStage:
-    def test_k1_identical_to_narrowband(self, rng):
-        sc = ofdm_feasible_scenario(seed=8, k=1)
-        eng = PcrbEngine(sc)
-        rx = RxPhases(random_phases(rng, 4))
-        a_tilde = eng.a1(rx.matrix(sc.arrays))
-        v = random_phases(rng, (4, 2))
-        from isac_beamkit.isac_opt import optimal_rbb_isac
-
-        res = optimal_rbb_isac(a_tilde, v, sc.channel.h, sc.power, sc.rate_target, sc.noise_comm)
-        aux = wmmse_update(sc.channel.h, v, digital_factor(res.r_single), sc.noise_comm)
-        v1, st1 = fpp_sca_vrf(sc, a_tilde, res.r_single, aux, _vec(v), max_iters=5)
-        v2, st2 = fpp_sca_vrf_ofdm(sc, a_tilde, [res.r_single], [aux], _vec(v), max_iters=5)
-        np.testing.assert_allclose(v1, v2, atol=1e-12)
-
     def test_flat_channel_collapses_to_scaled_narrowband(self, rng):
         # equal channels and covariances across K: the stacked problem is the
         # narrowband one with K*R (same objective direction)
@@ -174,8 +125,8 @@ class TestAnalogStage:
         aux = wmmse_update(h, v, digital_factor(r), sc1.noise_comm)
         sc1z = sc1.replace(rate_target=0.0)
         sc2z = sc2.replace(rate_target=0.0)
-        v1, _ = fpp_sca_vrf(sc1z, a_tilde, 2 * r, aux, _vec(v), max_iters=4)
-        v2, _ = fpp_sca_vrf_ofdm(sc2z, a_tilde, [r, r], [aux, aux], _vec(v), max_iters=4)
+        v1, _ = fpp_sca_vrf(sc1z, a_tilde, [2 * r], [aux], _vec(v), max_iters=4)
+        v2, _ = fpp_sca_vrf(sc2z, a_tilde, [r, r], [aux, aux], _vec(v), max_iters=4)
         np.testing.assert_allclose(v1, v2, atol=1e-9)
 
 
@@ -257,8 +208,6 @@ class TestAoP2:
         init_nb = HybridDesign(v0, (np.eye(arrays.n_rf_tx, dtype=complex) * scale_nb,), rx0)
         scale_k = sc_ofdm.power / (arrays.n_tx * arrays.n_rf_tx * k)
         init_k = HybridDesign(v0, (np.eye(arrays.n_rf_tx, dtype=complex) * scale_k,) * k, rx0)
-        from isac_beamkit.isac_opt import ao_isac
-
         rep2 = ao_p2(sc_ofdm, init_design=init_k, max_outer=40, wmmse_rounds=2,
                      sca_iters=10, tol=1e-10)
         rep1 = ao_isac(sc_equiv, init_design=init_nb, max_outer=40, wmmse_rounds=2,
@@ -266,14 +215,14 @@ class TestAoP2:
         assert rep2.final_pcrb == pytest.approx(rep1.final_pcrb, rel=1e-4)
 
     def test_failed_analog_block_is_not_convergence(self, monkeypatch):
-        import isac_beamkit.ofdm_opt as ofdm_opt
+        import isac_beamkit.isac_opt as isac_opt
         from isac_beamkit.isac_opt import FppScaState, _unvec
 
         def failing_sca(scenario, a_tilde, r_bb_list, aux_list, v_init, eps=1e3, max_iters=30):
             v = _unvec(v_init, scenario.arrays.n_tx, scenario.arrays.n_rf_tx)
             return v, FppScaState(v=v_init, eps=eps, ok=False)
 
-        monkeypatch.setattr(ofdm_opt, "fpp_sca_vrf_ofdm", failing_sca)
+        monkeypatch.setattr(isac_opt, "fpp_sca_vrf", failing_sca)
         sc = ofdm_feasible_scenario(seed=3, k=2, n_tx=3, n_rx=2, n_rf_tx=2, n_rf_rx=2)
         rep = ao_p2(sc, n_init=3, max_outer=5, update_rx=False)
         assert rep.iterations == 1

@@ -179,6 +179,18 @@ class TestAoP0:
         assert len(rep.trace) == 1
         assert rep.final_pcrb == pytest.approx(1.0 / eng.f_p_theta)
 
+    def test_objective_computes_a1_once(self, monkeypatch):
+        sc = make_scenario(seed=1)
+        eng = PcrbEngine(sc)
+        calls = []
+        a1 = PcrbEngine.a1
+        monkeypatch.setattr(PcrbEngine, "a1", lambda self, w: calls.append(1) or a1(self, w))
+        rep = ao_p0(sc, eng)
+        # the start design, one per receive matrix the loop makes (the
+        # transmit block reuses its A1), then the final PCRB
+        assert len(rep.trace) > 2
+        assert len(calls) == len(rep.trace) + 1
+
     def test_trace_monotone_and_constraints(self):
         for seed in range(5):
             sc = make_scenario(n_tx=4, n_rx=6, n_rf_tx=1, n_rf_rx=3, seed=seed)
