@@ -82,6 +82,15 @@ def _check_angle(theta: float) -> None:
         raise ModelError(f"angle {theta} outside [-pi/2, pi/2]")
 
 
+def element_positions(n: int) -> np.ndarray:
+    """Symmetric ULA element indices m = -(n-1)/2, ..., (n-1)/2 in half wavelengths.
+
+    The single definition of the array geometry: the steering functions below
+    and the lag-moment Fisher integrals in :mod:`quadrature` both read it.
+    """
+    return np.arange(n) - (n - 1) / 2.0
+
+
 def steering_vector(n: int, theta: float) -> np.ndarray:
     """ULA steering vector with symmetric indexing, entries exp(j*pi*m*sin(theta)).
 
@@ -91,7 +100,7 @@ def steering_vector(n: int, theta: float) -> np.ndarray:
     if n < 1:
         raise ModelError("antenna count must be >= 1")
     _check_angle(theta)
-    m = np.arange(n) - (n - 1) / 2.0
+    m = element_positions(n)
     return np.exp(1j * np.pi * m * np.sin(theta))
 
 
@@ -100,7 +109,7 @@ def steering_derivative(n: int, theta: float) -> np.ndarray:
     if n < 1:
         raise ModelError("antenna count must be >= 1")
     _check_angle(theta)
-    m = np.arange(n) - (n - 1) / 2.0
+    m = element_positions(n)
     phase = 1j * np.pi * m
     return phase * np.cos(theta) * np.exp(phase * np.sin(theta))
 
@@ -108,11 +117,11 @@ def steering_derivative(n: int, theta: float) -> np.ndarray:
 def steering_block(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steering vectors and derivatives for a batch of angles.
 
-    Returns (S, dS), each of shape (len(thetas), n). Used by the quadrature
+    Returns (S, dS), each of shape (len(thetas), n). Used by the node tables
     and Monte-Carlo paths, where per-angle python calls would dominate.
     """
     thetas = np.asarray(thetas, dtype=float)
-    m = np.arange(n) - (n - 1) / 2.0
+    m = element_positions(n)
     phase = 1j * np.pi * np.outer(np.sin(thetas), m)
     s = np.exp(phase)
     ds = (1j * np.pi * m) * np.cos(thetas)[:, None] * s

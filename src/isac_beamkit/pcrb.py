@@ -24,17 +24,16 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .designs import HybridDesign, digital_factor
 from .model import ModelError, Scenario, steering_block
 from .quadrature import (
+    LagMoments,
     QuadratureGrid,
     SteeringTables,
-    a1_from_tables,
-    a2_from_tables,
-    btilde_from_tables,
     build_grid,
     prior_fisher_theta,
 )
@@ -64,10 +63,10 @@ class Pfim:
 
 
 class PcrbEngine:
-    """Caches the quadrature tables of one scenario for repeated evaluations.
+    """Caches the prior lag moments of one scenario for repeated evaluations.
 
     All optimizer loops get their A1/A2/Btilde/PCRB values from here so that
-    the steering grids are built once per scenario.
+    the moments are computed once per scenario.
     """
 
     def __init__(self, scenario: Scenario, grid: QuadratureGrid | None = None):
@@ -75,14 +74,19 @@ class PcrbEngine:
         self.grid = grid if grid is not None else build_grid(
             scenario.angle_prior, scenario.quadrature_points
         )
-        self.tables = SteeringTables(scenario.arrays, scenario.angle_prior, self.grid)
+        self.moments = LagMoments(scenario.arrays, scenario.angle_prior, self.grid)
         self.f_p_theta = prior_fisher_theta(scenario.angle_prior, self.grid)
+
+    @cached_property
+    def tables(self) -> SteeringTables:
+        """Steering vectors at the grid nodes, built on first use for direct node sums."""
+        return SteeringTables(self.scenario.arrays, self.scenario.angle_prior, self.grid)
 
     def for_scenario(self, scenario: Scenario) -> "PcrbEngine":
         """Engine of a scenario that differs from this one only in its RF chains.
 
-        The grid, the steering tables and the prior Fisher term depend only
-        on the antenna counts, the angle prior and the grid size, so the new
+        The grid, the lag moments and the prior Fisher term depend only on
+        the antenna counts, the angle prior and the grid size, so the new
         engine shares them instead of rebuilding.
         """
         def key(sc: Scenario) -> tuple:
@@ -98,13 +102,13 @@ class PcrbEngine:
 
     # -- observation-side integrals ------------------------------------
     def a1(self, w: np.ndarray) -> np.ndarray:
-        return a1_from_tables(self.tables, w @ w.conj().T)
+        return self.moments.a1(w @ w.conj().T)
 
     def a2(self, w: np.ndarray) -> np.ndarray:
-        return a2_from_tables(self.tables, w @ w.conj().T)
+        return self.moments.a2(w @ w.conj().T)
 
     def b_tilde(self, tx_cov: np.ndarray) -> np.ndarray:
-        return btilde_from_tables(self.tables, tx_cov)
+        return self.moments.b_tilde(tx_cov)
 
     # -- scalar pieces ---------------------------------------------------
     def info_coefficient(self, kappa: float) -> float:

@@ -7,6 +7,37 @@ placed at +-{1,2,4,8} sigma around every component mean, panels inside the
 +-8 sigma "hot" zones receive a much higher node density than the rest of
 the domain, and all panels together tile [-pi/2, pi/2] exactly (so weights
 sum to the domain length and constants integrate exactly).
+
+The Fisher integrals A1(W), A2(W) and B~(V R V^H) never touch the nodes
+after set-up. For the symmetric half-wavelength ULA of
+:func:`model.steering_block`, a_m(theta) = exp(j pi m sin theta) and
+da_m/dtheta = j pi m cos(theta) a_m, with m the element positions of
+:func:`model.element_positions`. Every integrand term is then
+cos^2(theta) exp(j pi l sin theta) times a polynomial in the positions, with
+an integer lag l, so the integrals are fixed by the prior moments
+
+    M_l = sum_n wp_n cos^2(theta_n) exp(j pi l sin theta_n)   (A1 and B~)
+    N_l = sum_n wp_n exp(j pi l sin theta_n)                  (A2)
+
+for |l| <= n_tx + n_rx - 2, with M_{-l} = conj(M_l); wp_n is the quadrature
+weight times the prior density. :class:`LagMoments` computes them once. A
+call then
+
+  1. sums the input Gram G (receive Gram W W^H for A1 and A2, transmit
+     covariance for B~) along its diagonals d = q - p: sum G_pq, weighted
+     by the input positions r_p r_q (both), r_p (row), r_q (col) and by 1
+     (none);
+  2. multiplies those lag sums by the Hankel matrix M[d + e], which gives
+     Q_both, Q_row, Q_col and Q_none at every output lag e = i - k;
+  3. expands the result Toeplitz in the output positions t_i, t_k:
+
+         A1_ik = pi^2 (Q_both - t_k Q_row - t_i Q_col + t_i t_k Q_none)[i - k].
+
+B~ is the same map with the transmit and receive roles swapped, and A2 is
+the Toeplitz expansion of the unweighted lag sums against N. For a ULA the
+prior-weighted integral of a(theta) a(theta)^H is Toeplitz (Stoica & Moses,
+Spectral Analysis of Signals, ch. 6). The operator holds for that array model
+only; another geometry needs a node sum over :class:`SteeringTables`.
 """
 
 from __future__ import annotations
@@ -15,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArrayConfig, GmmAnglePrior, HALF_PI, steering_block
+from .model import ArrayConfig, GmmAnglePrior, HALF_PI, element_positions, steering_block
 
 DEFAULT_POINTS = 2048
 # hot/cold node-density ratio inside +-8 sigma of a mixture component
@@ -102,10 +133,11 @@ def prior_fisher_theta(prior: GmmAnglePrior, grid: QuadratureGrid) -> float:
 
 
 class SteeringTables:
-    """Pre-evaluated steering vectors/derivatives at the grid nodes.
+    """Steering vectors and derivatives evaluated at the grid nodes.
 
-    Shared by all integral routines so that optimizer loops touching the
-    same (arrays, prior, grid) triple pay the steering cost once.
+    For direct node sums over the prior (for example exhaustive searches that
+    need Mdot(theta) v per node). The Fisher integrals do not use them; see
+    :class:`LagMoments`.
     """
 
     def __init__(self, arrays: ArrayConfig, prior: GmmAnglePrior, grid: QuadratureGrid):
@@ -116,57 +148,80 @@ class SteeringTables:
         self.b, self.db = steering_block(arrays.n_rx, grid.nodes)
 
 
-def _quadratic_scalars(x: np.ndarray, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-node x(theta)^H G y(theta) for node-stacked vectors x, y."""
-    return np.einsum("ni,ij,nj->n", x.conj(), g, y, optimize=True)
+class LagMoments:
+    """Prior moments of the ULA phase lags and the Fisher integrals built on them.
 
-
-def a1_from_tables(tables: SteeringTables, w_gram: np.ndarray) -> np.ndarray:
-    """Integral of Mdot^H (W W^H) Mdot weighted by the prior.
-
-    w_gram = W W^H (n_rx x n_rx). Uses M = b a^H, so Mdot = db a^H + b da^H
-    and the integrand reduces to four scalar profiles times steering outer
-    products.
+    Holds the (2 n_tx - 1) x (2 n_rx - 1) Hankel matrices of the moments
+    with and without cos^2 (the former scaled by pi^2): entry
+    [e + n_tx - 1, d + n_rx - 1] is M[d + e] for a transmit lag e and a
+    receive lag d. Valid only for the symmetric half-wavelength ULA of
+    :func:`model.steering_block`.
     """
-    s_dd = _quadratic_scalars(tables.db, w_gram, tables.db)
-    s_db = _quadratic_scalars(tables.db, w_gram, tables.b)
-    s_bb = _quadratic_scalars(tables.b, w_gram, tables.b)
-    wp = tables.wp
-    a, da = tables.a, tables.da
-    out = (
-        np.einsum("n,ni,nj->ij", wp * s_dd, a, a.conj(), optimize=True)
-        + np.einsum("n,ni,nj->ij", wp * s_db, a, da.conj(), optimize=True)
-        + np.einsum("n,ni,nj->ij", wp * s_db.conj(), da, a.conj(), optimize=True)
-        + np.einsum("n,ni,nj->ij", wp * s_bb, da, da.conj(), optimize=True)
-    )
-    return 0.5 * (out + out.conj().T)
+
+    def __init__(self, arrays: ArrayConfig, prior: GmmAnglePrior, grid: QuadratureGrid):
+        n_tx, n_rx = arrays.n_tx, arrays.n_rx
+        self.tx_pos = element_positions(n_tx)
+        self.rx_pos = element_positions(n_rx)
+        wp = grid.weights * prior.pdf(grid.nodes)
+        weights = np.stack([np.pi**2 * wp * np.cos(grid.nodes) ** 2, wp], axis=1)
+        phase = np.pi * np.outer(np.arange(n_tx + n_rx - 1), np.sin(grid.nodes))
+        half = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
+        # lags -(n_tx + n_rx - 2) .. n_tx + n_rx - 2, using M_{-l} = conj(M_l)
+        full = np.concatenate([half[:0:-1].conj(), half])
+        lag = np.add.outer(np.arange(2 * n_tx - 1), np.arange(2 * n_rx - 1))
+        self.hankel_cos2 = full[lag, 0]
+        self.hankel = full[lag, 1]
+
+    def a1(self, w_gram: np.ndarray) -> np.ndarray:
+        """Integral of Mdot^H (W W^H) Mdot weighted by the prior (n_tx x n_tx)."""
+        return _lag_form(w_gram, self.rx_pos, self.tx_pos, self.hankel_cos2)
+
+    def a2(self, w_gram: np.ndarray) -> np.ndarray:
+        """Integral of M^H (W W^H) M weighted by the prior (n_tx x n_tx)."""
+        return _hermitian(_toeplitz(_lag_sums(w_gram) @ self.hankel.T))
+
+    def b_tilde(self, tx_cov: np.ndarray) -> np.ndarray:
+        """Integral of Mdot (tx_cov) Mdot^H weighted by the prior (n_rx x n_rx).
+
+        tx_cov is the transmit covariance V R V^H (n_tx x n_tx); for OFDM pass
+        the sum over sub-carriers (the integral is linear in tx_cov).
+        """
+        return _lag_form(tx_cov, self.tx_pos, self.rx_pos, self.hankel_cos2.T)
 
 
-def a2_from_tables(tables: SteeringTables, w_gram: np.ndarray) -> np.ndarray:
-    """Integral of M^H (W W^H) M weighted by the prior."""
-    s_bb = _quadratic_scalars(tables.b, w_gram, tables.b)
-    out = np.einsum("n,ni,nj->ij", tables.wp * s_bb, tables.a, tables.a.conj(), optimize=True)
-    return 0.5 * (out + out.conj().T)
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
 
 
-def btilde_from_tables(tables: SteeringTables, tx_cov: np.ndarray) -> np.ndarray:
-    """Integral of Mdot (tx_cov) Mdot^H weighted by the prior.
+def _lag_sums(x: np.ndarray) -> np.ndarray:
+    """Sums of x[..., p, q] along each diagonal q - p = d, at index d + n - 1."""
+    *lead, n, _ = x.shape
+    skew = np.zeros((*lead, n, 2 * n), dtype=complex)
+    skew[..., :n] = x[..., ::-1, :]
+    # rows of width 2n - 1 shift row r of skew right by r, so column
+    # c = q - p + n - 1 collects x[p, q] with p = n - 1 - r
+    flat = skew.reshape(*lead, 2 * n * n)[..., : n * (2 * n - 1)]
+    return flat.reshape(*lead, n, 2 * n - 1).sum(axis=-2)
 
-    tx_cov is the transmit covariance V R V^H (n_tx x n_tx); for OFDM pass
-    the sum over sub-carriers (the integral is linear in tx_cov).
+
+def _toeplitz(lag_values: np.ndarray) -> np.ndarray:
+    """out[..., i, k] = lag_values[..., i - k + n - 1] for i, k < n."""
+    n = (lag_values.shape[-1] + 1) // 2
+    return lag_values[..., np.subtract.outer(np.arange(n), np.arange(n)) + n - 1]
+
+
+def _lag_form(
+    x: np.ndarray, in_pos: np.ndarray, out_pos: np.ndarray, hankel: np.ndarray
+) -> np.ndarray:
+    """sum_pq x_pq (in_p - out_i)(in_q - out_k) M[q - p + i - k] for all (i, k).
+
+    hankel[e, d] = M[d + e] with d = q - p + n_in - 1, e = i - k + n_out - 1.
     """
-    s_aa = _quadratic_scalars(tables.a, tx_cov, tables.a)
-    s_ad = _quadratic_scalars(tables.a, tx_cov, tables.da)
-    s_dd = _quadratic_scalars(tables.da, tx_cov, tables.da)
-    wp = tables.wp
-    b, db = tables.b, tables.db
-    out = (
-        np.einsum("n,ni,nj->ij", wp * s_aa, db, db.conj(), optimize=True)
-        + np.einsum("n,ni,nj->ij", wp * s_ad, db, b.conj(), optimize=True)
-        + np.einsum("n,ni,nj->ij", wp * s_ad.conj(), b, db.conj(), optimize=True)
-        + np.einsum("n,ni,nj->ij", wp * s_dd, b, b.conj(), optimize=True)
-    )
-    return 0.5 * (out + out.conj().T)
+    row, col = in_pos[:, None], in_pos[None, :]
+    sums = _lag_sums(np.stack([row * x * col, row * x, x * col, x]))
+    q_both, q_row, q_col, q_none = _toeplitz(sums @ hankel.T)
+    i, k = out_pos[:, None], out_pos[None, :]
+    return _hermitian(q_both - k * q_row - i * q_col + i * k * q_none)
 
 
 def _as_w_matrix(arrays: ArrayConfig, w_descriptor) -> np.ndarray:
@@ -193,9 +248,9 @@ def compute_A_matrices(
     Hermitian PSD of size n_tx x n_tx.
     """
     w = _as_w_matrix(arrays, w_descriptor)
-    tables = SteeringTables(arrays, prior, grid)
+    moments = LagMoments(arrays, prior, grid)
     g = w @ w.conj().T
-    return a1_from_tables(tables, g), a2_from_tables(tables, g)
+    return moments.a1(g), moments.a2(g)
 
 
 def compute_B_matrix(
@@ -218,5 +273,4 @@ def compute_B_matrix(
                 f"digital covariance shape {r.shape} does not match v_rf columns"
             )
         tx_cov += v @ r @ v.conj().T
-    tables = SteeringTables(arrays, prior, grid)
-    return btilde_from_tables(tables, tx_cov)
+    return LagMoments(arrays, prior, grid).b_tilde(tx_cov)

@@ -79,9 +79,9 @@ class TestRunScheme:
         engine = PcrbEngine(sc)
         ao = {"n_init": 4, "max_outer": 2, "wmmse_rounds": 1, "sca_iters": 2}
         built = []
-        tables = pcrb_mod.SteeringTables
+        moments = pcrb_mod.LagMoments
         monkeypatch.setattr(
-            pcrb_mod, "SteeringTables", lambda *args: built.append(args) or tables(*args)
+            pcrb_mod, "LagMoments", lambda *args: built.append(args) or moments(*args)
         )
         shared = run_scheme(Scheme(kind), sc, engine, ao)
         assert built == []

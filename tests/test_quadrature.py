@@ -3,6 +3,7 @@ import pytest
 
 from isac_beamkit.model import ArrayConfig, GmmAnglePrior, RxArchitecture, steering_block
 from isac_beamkit.quadrature import (
+    LagMoments,
     QuadratureError,
     QuadratureGrid,
     build_grid,
@@ -46,6 +47,24 @@ def mc_a_matrices(arrays, prior, w, n_samples, seed):
     a2 = terms2.mean(axis=0)
     a2_se = terms2.std(axis=0, ddof=1) / np.sqrt(n_samples)
     return a1, a1_se, a2, a2_se
+
+
+def node_sum_integrals(arrays, prior, grid, w_gram, tx_cov):
+    """A1, A2 and B~ as direct prior-weighted sums over the grid nodes."""
+    wp = grid.weights * prior.pdf(grid.nodes)
+    a, da = steering_block(arrays.n_tx, grid.nodes)
+    b, db = steering_block(arrays.n_rx, grid.nodes)
+    m = np.einsum("nr,nt->nrt", b, a.conj())
+    m_dot = np.einsum("nr,nt->nrt", db, a.conj()) + np.einsum("nr,nt->nrt", b, da.conj())
+    a1 = np.einsum("n,nri,rs,nsk->ik", wp, m_dot.conj(), w_gram, m_dot, optimize=True)
+    a2 = np.einsum("n,nri,rs,nsk->ik", wp, m.conj(), w_gram, m, optimize=True)
+    b_t = np.einsum("n,nit,tu,nku->ik", wp, m_dot, tx_cov, m_dot.conj(), optimize=True)
+    return a1, a2, b_t
+
+
+def random_gram(rng, n):
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x @ x.conj().T
 
 
 class TestGrid:
@@ -189,3 +208,29 @@ class TestBMatrix:
         # A1(mixture) - weight * A1(component) is PSD
         diff = a1_two - 0.5 * a1_one
         assert np.linalg.eigvalsh(diff).min() > -1e-10 * np.abs(a1_two).max()
+
+
+class TestLagMoments:
+    @pytest.mark.parametrize(
+        "n_tx,n_rx", [(1, 1), (1, 4), (2, 3), (3, 2), (5, 8), (7, 7), (8, 12), (64, 64)]
+    )
+    def test_matches_node_sum(self, n_tx, n_rx):
+        arrays = ArrayConfig(n_tx, n_rx, 1, 1, 1, RxArchitecture.FULLY_CONNECTED)
+        grid = build_grid(REF_PRIOR, 256)
+        rng = np.random.default_rng(n_tx * 100 + n_rx)
+        w_gram, tx_cov = random_gram(rng, n_rx), random_gram(rng, n_tx)
+        moments = LagMoments(arrays, REF_PRIOR, grid)
+        got = (moments.a1(w_gram), moments.a2(w_gram), moments.b_tilde(tx_cov))
+        for g, ref in zip(got, node_sum_integrals(arrays, REF_PRIOR, grid, w_gram, tx_cov)):
+            assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+            np.testing.assert_array_equal(g, g.conj().T)
+
+    def test_btilde_linear_in_transmit_covariance(self):
+        # the OFDM receive-side matrix is B~ of the covariance summed over carriers
+        arrays = ArrayConfig(8, 12, 1, 1, 1, RxArchitecture.FULLY_CONNECTED)
+        moments = LagMoments(arrays, REF_PRIOR, build_grid(REF_PRIOR, 512))
+        rng = np.random.default_rng(12)
+        covs = [random_gram(rng, 8) for _ in range(3)]
+        summed = moments.b_tilde(sum(covs))
+        parts = sum(moments.b_tilde(t) for t in covs)
+        assert np.abs(summed - parts).max() <= 1e-13 * np.abs(summed).max()
