@@ -11,7 +11,7 @@ import numpy as np
 
 import isac_beamkit as bk
 from isac_beamkit.bench import pattern_mass_near_prior, power_pattern
-from isac_beamkit.sensing_opt import ao_p0
+from isac_beamkit.isac_opt import ao_p0
 
 scenario = bk.sensing_scenario()
 report = ao_p0(scenario)

@@ -54,7 +54,6 @@ from .cvxkit import (
     waterfill,
 )
 from .sensing_opt import (
-    ao_p0,
     coordinate_update_receive,
     coordinate_update_transmit,
     dft_select_fc,
@@ -63,6 +62,7 @@ from .sensing_opt import (
 )
 from .isac_opt import (
     WmmseAux,
+    ao_p0,
     ao_p1,
     ao_p2,
     fpp_sca_vrf,

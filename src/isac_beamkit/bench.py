@@ -47,12 +47,11 @@ from .model import (
     steering_vector,
 )
 from .pcrb import PcrbEngine
-from .sensing_opt import ao_sensing
 from .scenarios import dbm_to_watt
 
 
 class SchemeError(ValueError):
-    """Scheme/scenario mismatch (missing channel recipe, bad RF counts, ...)."""
+    """Malformed scheme label or scheme/scenario mismatch (missing channel recipe, ...)."""
 
 
 class SchemeKind(enum.Enum):
@@ -72,11 +71,22 @@ class Scheme:
 
     @classmethod
     def parse(cls, text: str) -> "Scheme":
-        name, _, arg = text.partition(":")
-        kind = SchemeKind(name)
-        if kind is SchemeKind.RANDOM_PHASE and arg:
-            return cls(kind, int(arg))
-        return cls(kind)
+        """Scheme from its label; raises SchemeError for an unknown name, a
+        random_phase count that is not a positive integer, or an argument
+        on a scheme that takes none."""
+        name, sep, arg = text.partition(":")
+        try:
+            kind = SchemeKind(name)
+        except ValueError:
+            known = ", ".join(k.value for k in SchemeKind)
+            raise SchemeError(f"unknown scheme {name!r} (known: {known})") from None
+        if not sep:
+            return cls(kind)
+        if kind is not SchemeKind.RANDOM_PHASE:
+            raise SchemeError(f"scheme {name!r} takes no argument, got {text!r}")
+        if not (arg.isdecimal() and int(arg) >= 1):
+            raise SchemeError(f"scheme 'random_phase' needs a positive integer count, got {arg!r}")
+        return cls(kind, int(arg))
 
     def label(self) -> str:
         if self.kind is SchemeKind.RANDOM_PHASE:
@@ -182,44 +192,13 @@ def _alignment_matrix(scenario: Scenario) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _dispatch_ao(scenario: Scenario, engine: PcrbEngine, ao_options: dict) -> AoReport:
-    optimize = ao_p2 if scenario.subcarriers > 1 else ao_p1
-    return optimize(scenario, engine, **ao_options)
+def _dispatch_ao(scenario: Scenario, engine: PcrbEngine, ao_options: dict, **start) -> AoReport:
+    """ao_p2 for OFDM, ao_p1 for narrowband, at any rate target.
 
-
-def _run_constrained_ao(
-    scenario: Scenario,
-    engine: PcrbEngine,
-    *,
-    init_design: Optional[HybridDesign] = None,
-    fixed_v: bool = False,
-    a1_fn=None,
-    btilde_fn=None,
-    ao_options: Optional[dict] = None,
-) -> AoReport:
-    """AO with the appropriate driver for scheme variants."""
-    ao_options = dict(ao_options or {})
-    if scenario.rate_target <= 0:
-        keys = {k: v for k, v in ao_options.items() if k in ("max_outer", "tol")}
-        return ao_sensing(
-            scenario,
-            engine,
-            init_design=init_design,
-            fixed_v=fixed_v,
-            a1_fn=a1_fn,
-            btilde_fn=btilde_fn,
-            **keys,
-        )
+    start holds a scheme's init_design, fixed_v or surrogate integrals.
+    """
     optimize = ao_p2 if scenario.subcarriers > 1 else ao_p1
-    return optimize(
-        scenario,
-        engine,
-        init_design=init_design,
-        fixed_v=fixed_v,
-        a1_fn=a1_fn,
-        btilde_fn=btilde_fn,
-        **ao_options,
-    )
+    return optimize(scenario, engine, **start, **ao_options)
 
 
 def run_scheme(
@@ -280,7 +259,7 @@ def run_scheme(
         k = sc.subcarriers
         r0 = [np.eye(arrays.n_tx, dtype=complex) * (sc.power / arrays.n_tx / k)] * k
         init = HybridDesign(None, tuple(r0), default_rx(fd_tx))
-        return _run_constrained_ao(sc, eng, init_design=init, ao_options=ao_options)
+        return _dispatch_ao(sc, eng, ao_options, init_design=init)
 
     if scheme.kind is SchemeKind.DIRECTION_ALIGN:
         v_align = _alignment_matrix(scenario)
@@ -289,19 +268,13 @@ def run_scheme(
         scale = scenario.power / (arrays.n_tx * arrays.n_rf_tx * k)
         r0 = [np.eye(arrays.n_rf_tx, dtype=complex) * scale] * k
         init = HybridDesign(v_align, tuple(r0), default_rx(arrays))
-        return _run_constrained_ao(
-            scenario, engine, init_design=init, fixed_v=True, ao_options=ao_options
-        )
+        return _dispatch_ao(scenario, engine, ao_options, init_design=init, fixed_v=True)
 
     if scheme.kind is SchemeKind.PARTIAL_PRIOR:
         theta_max = scenario.angle_prior.most_probable_angle()
         point = PointAngleObjective(scenario, theta_max)
-        return _run_constrained_ao(
-            scenario,
-            engine,
-            a1_fn=point.a1,
-            btilde_fn=point.b_tilde,
-            ao_options=ao_options,
+        return _dispatch_ao(
+            scenario, engine, ao_options, a1_fn=point.a1, btilde_fn=point.b_tilde
         )
 
     raise SchemeError(f"unknown scheme {scheme!r}")

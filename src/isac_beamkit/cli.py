@@ -61,7 +61,7 @@ from .bench import (
 )
 from .cvxkit import RateInfeasibleError, SolverError
 from .designs import HybridDesign, RxDft, RxIdentity, RxPhases
-from .isac_opt import ao_p1, ao_p2
+from .isac_opt import ao_p0, ao_p1, ao_p2
 from .model import (
     ArrayConfig,
     GmmAnglePrior,
@@ -76,7 +76,6 @@ from .model import (
 )
 from .pcrb import PcrbEngine, assemble_pfim, pcrb_theta
 from .scenarios import channel_seed, db_to_linear, dbm_to_watt
-from .sensing_opt import ao_p0
 
 LN2 = math.log(2.0)
 

@@ -19,6 +19,7 @@ from .model import ArrayConfig, ModelError, RxArchitecture, Scenario
 MODULUS_TOL = 1e-12
 PSD_TOL = 1e-10
 POWER_TOL = 1e-8
+RATE_TOL = 1e-6
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -192,10 +193,14 @@ def achieved_rate(scenario: Scenario, design: HybridDesign) -> float:
     return total / len(channels)
 
 
-def rate_feasible(scenario: Scenario, design: HybridDesign, tol: float = 1e-6) -> bool:
-    if scenario.rate_target <= 0:
-        return True
-    return achieved_rate(scenario, design) >= scenario.rate_target - tol
+def feasible(scenario: Scenario, design: HybridDesign) -> bool:
+    """Power within POWER_TOL of the budget and, under a rate floor, the rate
+    within RATE_TOL of the target."""
+    if design.total_power() > scenario.power + POWER_TOL:
+        return False
+    if scenario.rate_target > 0:
+        return achieved_rate(scenario, design) >= scenario.rate_target - RATE_TOL
+    return True
 
 
 @dataclass

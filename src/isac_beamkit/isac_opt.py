@@ -1,11 +1,16 @@
-"""ISAC hybrid beamforming: PCRB minimization under a rate floor, K >= 1.
+"""Hybrid beamforming: PCRB minimization with or without a rate floor, K >= 1.
 
-Narrowband is the wideband OFDM problem with one sub-carrier, so one
-alternating optimization serves both. The angle information adds across
-sub-carriers through the trace sum, the rate constraint averages the
+Narrowband is the wideband OFDM problem with one sub-carrier, and the
+sensing-only problem is the one with a zero rate target, so one alternating
+optimization (ao_isac) serves all of them. The angle information adds
+across sub-carriers through the trace sum, the rate constraint averages the
 per-subcarrier log-dets, and one analog matrix serves all carriers.
 
-Block structure of the alternating optimization:
+The rate target chooses the start and the transmit block. Without a rate
+floor the start is the given design or all-ones phases, and the transmit
+block is the closed-form sensing update of sensing_opt (exact rank-1
+optimum, phase splitting or per-entry phase alignment). With one, the start
+is rate-feasible and the transmit block is:
 
   * transmit analog matrix: the log-det rate constraint is replaced by its
     weighted-MMSE surrogate (tight at the closed-form decoder/weight
@@ -17,10 +22,11 @@ Block structure of the alternating optimization:
     stationary point);
   * transmit digital covariances, one per sub-carrier: exact
     Lagrange-duality solver (cvxkit) with a power dual common to all
-    carriers;
-  * receive side: closed-form per-entry phase alignment (partially
-    connected) or DFT-row selection (fully connected) against the
-    carrier-summed integral.
+    carriers.
+
+The receive block is the same for every rate target: closed-form per-entry
+phase alignment (partially connected) or DFT-row selection (fully
+connected) against the carrier-summed integral.
 
 Each block is committed only if it does not increase the PCRB and keeps the
 iterate feasible, so the reported objective trace is weakly decreasing.
@@ -49,19 +55,17 @@ from .designs import (
     achieved_rate,
     default_rx,
     digital_factor,
+    feasible,
 )
 from .model import Scenario
 from .pcrb import PcrbEngine
 from .sensing_opt import (
     _initial_r_bb,
     _rx_update,
+    _sensing_tx_update,
     _TraceObjective,
-    ao_p0,
     random_sensing_design,
 )
-
-RATE_TOL = 1e-6
-POWER_TOL = 1e-8
 
 
 @dataclass
@@ -470,14 +474,6 @@ def init_random_phase(
     return best
 
 
-def _feasible(scenario: Scenario, design: HybridDesign) -> bool:
-    if design.total_power() > scenario.power + POWER_TOL:
-        return False
-    if scenario.rate_target > 0:
-        return achieved_rate(scenario, design) >= scenario.rate_target - RATE_TOL
-    return True
-
-
 def _start_design(
     scenario: Scenario,
     engine: PcrbEngine,
@@ -485,25 +481,31 @@ def _start_design(
     init_design: Optional[HybridDesign],
     objective: _TraceObjective,
 ) -> HybridDesign:
-    """Rate-feasible starting point of the rate-constrained AO.
+    """Starting point of the AO: feasible for the scenario's rate target.
 
-    The accept test only compares feasible iterates: from an infeasible
-    start, whose PCRB may undercut every rate-feasible design, each
-    feasible candidate would be rejected. A given design that misses the
-    rate therefore first gets its exact digital stage. Without one, the best
-    seeded random-phase draw is used; if no draw meets the rate, the phases
-    of the dominant right singular vectors of the stacked channel (the
-    communication-only analog choice) are tried before the target is
-    declared infeasible.
+    Without a rate floor it is the given design or all-ones analog phases
+    with the equal-power digital start. Under a rate floor the accept test
+    only compares feasible iterates: from an infeasible start, whose PCRB
+    may undercut every rate-feasible design, each feasible candidate would
+    be rejected. A given design that misses the rate therefore first gets
+    its exact digital stage. Without one, the best seeded random-phase draw
+    is used; if no draw meets the rate, the phases of the dominant right
+    singular vectors of the stacked channel (the communication-only analog
+    choice) are tried before the target is declared infeasible.
     """
+    arrays = scenario.arrays
+    if scenario.rate_target <= 0:
+        if init_design is not None:
+            return init_design
+        v0 = np.ones((arrays.n_tx, arrays.n_rf_tx), dtype=complex)
+        return HybridDesign(v0, tuple(_initial_r_bb(scenario, arrays.n_rf_tx)), default_rx(arrays))
     if init_design is not None:
-        if _feasible(scenario, init_design):
+        if feasible(scenario, init_design):
             return init_design
         return _optimal_rbb_design(scenario, init_design, objective.a1(init_design.rx))[0]
     try:
         return init_random_phase(scenario, n_init, scenario.seed, engine)
     except RateInfeasibleError as exc:
-        arrays = scenario.arrays
         gram = sum(h.conj().T @ h for h in scenario.channel.per_subcarrier())
         vec = np.linalg.eigh(gram)[1][:, ::-1]
         v = np.exp(1j * np.angle(vec[:, : arrays.n_rf_tx]))
@@ -514,6 +516,52 @@ def _start_design(
             raise RateInfeasibleError(
                 scenario.rate_target, max(exc.max_rate, exc2.max_rate)
             ) from None
+
+
+def _rate_tx_update(
+    scenario: Scenario,
+    design: HybridDesign,
+    a_tilde: np.ndarray,
+    fixed_v: bool,
+    wmmse_rounds: int,
+    sca_iters: int,
+    eps: float,
+) -> tuple[Optional[HybridDesign], bool]:
+    """Transmit block under a rate floor: the common analog matrix via
+    stacked WMMSE/FPP-SCA rounds (skipped when the transmitter is fully
+    digital or fixed_v is set), then the exact digital re-solve.
+
+    Returns (candidate, analog_failed). The candidate is None when the
+    analog solver failed or the re-solve finds the rate out of reach.
+    """
+    arrays = scenario.arrays
+    cand = design
+    if design.v_rf is not None and not fixed_v:
+        h_list = scenario.channel.per_subcarrier()
+        v_bar = _vec(design.v_rf)
+        for _round in range(wmmse_rounds):
+            v_cur = _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx)
+            aux_list = [
+                wmmse_update(h, v_cur, digital_factor(r), scenario.noise_comm)
+                for h, r in zip(h_list, design.r_bb)
+            ]
+            v_new, state = fpp_sca_vrf(
+                scenario,
+                a_tilde,
+                design.r_bb,
+                aux_list,
+                v_bar,
+                eps=eps,
+                max_iters=sca_iters,
+            )
+            if not state.ok:
+                return None, True
+            v_bar = _vec(v_new)
+        cand = HybridDesign(_unvec(v_bar, arrays.n_tx, arrays.n_rf_tx), design.r_bb, design.rx)
+    try:
+        return _optimal_rbb_design(scenario, cand, a_tilde)[0], False
+    except RateInfeasibleError:
+        return None, False
 
 
 def ao_isac(
@@ -532,14 +580,17 @@ def ao_isac(
     a1_fn: Optional[Callable] = None,
     btilde_fn: Optional[Callable] = None,
 ) -> AoReport:
-    """Alternating optimization for the rate-constrained problem, any K.
+    """Alternating optimization for any rate target and any K.
 
-    Blocks per outer iteration: the common analog matrix via stacked
-    WMMSE/FPP-SCA (skipped when the transmitter is fully digital or
-    fixed_v is set) with an immediate exact digital re-solve, then the
-    receive update against the carrier-summed integral. Every block is
-    committed only if the PCRB does not increase and the iterate stays
-    feasible. Hooks mirror ao_sensing: a1_fn/btilde_fn replace the
+    Blocks per outer iteration: the transmit block, then the receive update
+    against the carrier-summed integral. The rate target chooses the start
+    and the transmit block (see _start_design): without a rate floor the
+    closed-form sensing update, with one the WMMSE/FPP-SCA rounds plus the
+    digital re-solve (see _rate_tx_update). n_init, wmmse_rounds, sca_iters
+    and eps tune the latter only. Every block is committed only if the PCRB
+    does not increase and the iterate stays feasible; the loop stops once
+    an outer iteration changes the PCRB by at most tol relative. fixed_v
+    keeps the analog matrix of the start. a1_fn/btilde_fn replace the
     prior-weighted integrals for surrogate-objective benchmark schemes, in
     which case the trace logs the surrogate while final_pcrb stays the true
     bound.
@@ -547,56 +598,28 @@ def ao_isac(
     t_start = time.perf_counter()
     if engine is None:
         engine = PcrbEngine(scenario)
-    arrays = scenario.arrays
-    h_list = scenario.channel.per_subcarrier()
-    objective = _TraceObjective(engine, arrays, a1_fn or engine.a1)
+    objective = _TraceObjective(engine, scenario.arrays, a1_fn or engine.a1)
     btilde_fn = btilde_fn or engine.b_tilde
 
     design = _start_design(scenario, engine, n_init, init_design, objective)
     current = objective(design)
     trace = [current]
 
-    converged = False
-    for _ in range(max_outer):
-        changed = False
-        analog_failed = False
-        # --- transmit analog (+ immediate digital re-solve) ---------------
+    # without transmit power no block can change the bound
+    converged = scenario.power == 0.0
+    for _ in range(0 if converged else max_outer):
+        # --- transmit ------------------------------------------------------
         a_tilde = objective.a1(design.rx)
-        cand = design
-        if design.v_rf is not None and not fixed_v:
-            v_bar = _vec(design.v_rf)
-            for _round in range(wmmse_rounds):
-                v_cur = _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx)
-                aux_list = [
-                    wmmse_update(h, v_cur, digital_factor(r), scenario.noise_comm)
-                    for h, r in zip(h_list, design.r_bb)
-                ]
-                v_new, state = fpp_sca_vrf(
-                    scenario,
-                    a_tilde,
-                    design.r_bb,
-                    aux_list,
-                    v_bar,
-                    eps=eps,
-                    max_iters=sca_iters,
-                )
-                if not state.ok:
-                    analog_failed = True
-                    break
-                v_bar = _vec(v_new)
-            cand = HybridDesign(
-                _unvec(v_bar, arrays.n_tx, arrays.n_rf_tx), design.r_bb, design.rx
+        if scenario.rate_target > 0:
+            cand, analog_failed = _rate_tx_update(
+                scenario, design, a_tilde, fixed_v, wmmse_rounds, sca_iters, eps
             )
-        if not analog_failed:
-            try:
-                cand, _ = _optimal_rbb_design(scenario, cand, a_tilde)
-                value = objective(cand)
-                if value <= trace[-1] * (1 + 1e-12) and _feasible(scenario, cand):
-                    if value < trace[-1] * (1 - 1e-12):
-                        changed = True
-                    design, current = cand, value
-            except RateInfeasibleError:
-                pass
+        else:
+            cand, analog_failed = _sensing_tx_update(scenario, a_tilde, design, fixed_v), False
+        if cand is not None:
+            value = objective(cand)
+            if value <= trace[-1] * (1 + 1e-12) and feasible(scenario, cand):
+                design, current = cand, value
 
         # --- receive side --------------------------------------------------
         if update_rx and not isinstance(design.rx, RxIdentity):
@@ -604,12 +627,10 @@ def ao_isac(
             cand = HybridDesign(design.v_rf, design.r_bb, rx_new)
             value = objective(cand)
             if value <= trace[-1] * (1 + 1e-12):
-                if value < trace[-1] * (1 - 1e-12):
-                    changed = True
                 design, current = cand, value
 
         trace.append(current)
-        if abs(trace[-2] - trace[-1]) <= tol * trace[-2] or not changed:
+        if abs(trace[-2] - trace[-1]) <= tol * trace[-2]:
             # a stop caused by an analog block the solver could not
             # evaluate is not convergence
             converged = not analog_failed
@@ -623,20 +644,48 @@ def ao_isac(
         final_pcrb=engine.pcrb(design),
         final_rate=achieved_rate(scenario, design),
         power_used=design.total_power(),
-        feasible=_feasible(scenario, design),
+        feasible=feasible(scenario, design),
     )
 
 
-def _sensing_problem(scenario: Scenario, engine: Optional[PcrbEngine], kw: dict) -> AoReport:
-    """ao_p0 for a zero rate target, with the caller's max_outer, tol and restarts.
+def ao_p0(
+    scenario: Scenario,
+    engine: Optional[PcrbEngine] = None,
+    *,
+    max_outer: int = 200,
+    tol: float = 1e-8,
+    restarts: int = 0,
+    init_design: Optional[HybridDesign] = None,
+    **kw,
+) -> AoReport:
+    """Sensing-only alternating optimization: ao_isac without the rate floor.
 
-    Without a rate floor the problem is sensing-only, and the sensing loop's
-    transmit update is exact rather than SCA-based. The ISAC-only options
-    (n_init, wmmse_rounds, sca_iters, eps, init_design, fixed_v, update_rx,
-    a1_fn, btilde_fn) do not apply to it and are ignored.
+    The run starts from init_design or the deterministic all-ones phases;
+    kw takes ao_isac's other options. restarts > 0 additionally runs the
+    loop from that many seeded random-phase starts and keeps the best final
+    PCRB. A restart replaces only the start (with fixed_v, each start keeps
+    its own analog matrix), so restarts cannot be combined with init_design.
     """
-    keys = {k: v for k, v in kw.items() if k in ("max_outer", "tol", "restarts")}
-    return ao_p0(scenario, engine, **keys)
+    if restarts > 0 and init_design is not None:
+        raise ValueError("restarts replace the start design; give init_design or restarts")
+    scenario = scenario.replace(rate_target=0.0)
+    if engine is None:
+        engine = PcrbEngine(scenario)
+    best = ao_isac(scenario, engine, max_outer=max_outer, tol=tol, init_design=init_design, **kw)
+    if restarts > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(0xA0,)))
+        for _ in range(restarts):
+            cand = ao_isac(
+                scenario,
+                engine,
+                max_outer=max_outer,
+                tol=tol,
+                init_design=random_sensing_design(scenario, rng),
+                **kw,
+            )
+            if cand.final_pcrb < best.final_pcrb:
+                best = cand
+    return best
 
 
 def ao_p1(
@@ -644,14 +693,14 @@ def ao_p1(
     engine: Optional[PcrbEngine] = None,
     **kw,
 ) -> AoReport:
-    """Narrowband ISAC alternating optimization: ao_isac on one sub-carrier.
+    """Narrowband alternating optimization: ao_isac on one sub-carrier.
 
-    A zero rate target runs the sensing loop instead (see _sensing_problem).
+    A zero rate target runs ao_p0 with every option given.
     """
     if scenario.subcarriers != 1:
         raise ValueError("ao_p1 expects a narrowband scenario (1 sub-carrier)")
     if scenario.rate_target <= 0:
-        return _sensing_problem(scenario, engine, kw)
+        return ao_p0(scenario, engine, **kw)
     return ao_isac(scenario, engine, **kw)
 
 
@@ -660,12 +709,12 @@ def ao_p2(
     engine: Optional[PcrbEngine] = None,
     **kw,
 ) -> AoReport:
-    """OFDM ISAC alternating optimization: ao_isac for any number of carriers.
+    """OFDM alternating optimization: ao_isac for any number of carriers.
 
-    Its defaults differ from ao_isac's: max_outer=10 and sca_iters=4 unless
-    given. A zero rate target runs the sensing loop instead (see
-    _sensing_problem).
+    Under a rate floor its defaults differ from ao_isac's: max_outer=10 and
+    sca_iters=4 unless given. A zero rate target runs ao_p0 with every
+    option given.
     """
     if scenario.rate_target <= 0:
-        return _sensing_problem(scenario, engine, kw)
+        return ao_p0(scenario, engine, **kw)
     return ao_isac(scenario, engine, **{"max_outer": 10, "sca_iters": 4, **kw})

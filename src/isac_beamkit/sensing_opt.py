@@ -1,31 +1,23 @@
-"""Sensing-only hybrid beamforming optimization.
+"""Closed-form sensing blocks of the alternating optimization.
 
-The objective is the angle PCRB alone (no rate constraint). Closed forms
-drive everything: the fully-digital optimum is rank one on the top
+Without a rate floor the objective is the angle PCRB alone, and every block
+has a closed form: the fully-digital optimum is rank one on the top
 eigenvector of the prior-weighted matrix A1; any rank-1 covariance is
 realizable with two unit-modulus analog columns (phase-splitting
 construction); and each single entry of either analog matrix has a
-closed-form phase-alignment optimum, swept cyclically. Alternating these
-block updates yields a monotone PCRB trace.
+closed-form phase-alignment optimum, swept cyclically. The loop that
+alternates them is isac_opt.ao_isac, which picks these transmit blocks when
+the scenario's rate target is zero; the receive blocks serve every rate
+target.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .designs import (
-    AoReport,
-    HybridDesign,
-    RxDft,
-    RxIdentity,
-    RxPhases,
-    achieved_rate,
-    default_rx,
-    dft_matrix,
-)
+from .designs import HybridDesign, RxDft, RxIdentity, RxPhases, dft_matrix
 from .cvxkit import top_generalized_eig
 from .model import ArrayConfig, RxArchitecture, Scenario
 from .pcrb import PcrbEngine
@@ -197,78 +189,6 @@ class _TraceObjective:
         return self.engine.pcrb_from_trace(design.rx.kappa(self.arrays), tr)
 
 
-def ao_sensing(
-    scenario: Scenario,
-    engine: Optional[PcrbEngine] = None,
-    *,
-    max_outer: int = 200,
-    tol: float = 1e-8,
-    init_design: Optional[HybridDesign] = None,
-    fixed_v: bool = False,
-    update_tx: bool = True,
-    update_rx: bool = True,
-    a1_fn: Optional[Callable] = None,
-    btilde_fn: Optional[Callable] = None,
-) -> AoReport:
-    """Alternating block updates for the sensing-only problem.
-
-    a1_fn / btilde_fn default to the prior-weighted integrals; benchmark
-    variants substitute point-evaluated surrogates here, in which case the
-    trace records the surrogate objective while final_pcrb is always the
-    true PCRB of the returned design.
-    """
-    t_start = time.perf_counter()
-    if engine is None:
-        engine = PcrbEngine(scenario)
-    arrays = scenario.arrays
-    objective = _TraceObjective(engine, arrays, a1_fn or engine.a1)
-    btilde_fn = btilde_fn or (lambda tx_cov: engine.b_tilde(tx_cov))
-
-    if init_design is None:
-        v0 = np.ones((arrays.n_tx, arrays.n_rf_tx), dtype=complex)
-        design = HybridDesign(v0, tuple(_initial_r_bb(scenario, arrays.n_rf_tx)), default_rx(arrays))
-    else:
-        design = init_design
-
-    trace = [objective(design)]
-    if scenario.power == 0.0:
-        return AoReport(
-            trace=trace,
-            design=design,
-            converged=True,
-            wall_time=time.perf_counter() - t_start,
-            final_pcrb=engine.pcrb(design),
-            final_rate=achieved_rate(scenario, design),
-            power_used=design.total_power(),
-            feasible=True,
-        )
-
-    converged = False
-    for _ in range(max_outer):
-        if update_tx:
-            design = _sensing_tx_update(scenario, objective.a1(design.rx), design, fixed_v)
-        if update_rx and not isinstance(design.rx, RxIdentity):
-            tx_total = sum(design.tx_covariances())
-            design = HybridDesign(
-                design.v_rf, design.r_bb, _rx_update(scenario, design, btilde_fn(tx_total))
-            )
-        trace.append(objective(design))
-        if abs(trace[-2] - trace[-1]) <= tol * trace[-2]:
-            converged = True
-            break
-
-    return AoReport(
-        trace=trace,
-        design=design,
-        converged=converged,
-        wall_time=time.perf_counter() - t_start,
-        final_pcrb=engine.pcrb(design),
-        final_rate=achieved_rate(scenario, design),
-        power_used=design.total_power(),
-        feasible=design.total_power() <= scenario.power + 1e-8,
-    )
-
-
 def random_sensing_design(scenario: Scenario, rng: np.random.Generator) -> HybridDesign:
     """Uniform-phase analog matrices with the equal-power digital start."""
     arrays = scenario.arrays
@@ -280,34 +200,3 @@ def random_sensing_design(scenario: Scenario, rng: np.random.Generator) -> Hybri
     else:
         rx = RxPhases(np.exp(2j * np.pi * rng.random(arrays.n_rx)))
     return HybridDesign(v, tuple(_initial_r_bb(scenario, arrays.n_rf_tx)), rx)
-
-
-def ao_p0(
-    scenario: Scenario,
-    engine: Optional[PcrbEngine] = None,
-    *,
-    max_outer: int = 200,
-    tol: float = 1e-8,
-    restarts: int = 0,
-) -> AoReport:
-    """Sensing-only alternating optimization (deterministic all-ones start).
-
-    restarts > 0 additionally runs the loop from that many seeded
-    random-phase starts and keeps the best final PCRB.
-    """
-    if engine is None:
-        engine = PcrbEngine(scenario)
-    best = ao_sensing(scenario, engine, max_outer=max_outer, tol=tol)
-    if restarts > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(0xA0,)))
-        for _ in range(restarts):
-            cand = ao_sensing(
-                scenario,
-                engine,
-                max_outer=max_outer,
-                tol=tol,
-                init_design=random_sensing_design(scenario, rng),
-            )
-            if cand.final_pcrb < best.final_pcrb:
-                best = cand
-    return best

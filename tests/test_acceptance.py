@@ -26,10 +26,10 @@ from isac_beamkit.bench import (
 )
 from isac_beamkit.cvxkit import mimo_capacity, rate_constrained_trace_max_multi
 from isac_beamkit.designs import HybridDesign, RxPhases, dft_matrix
-from isac_beamkit.isac_opt import ao_isac, ao_p1, ao_p2, wmmse_update
+from isac_beamkit.isac_opt import ao_isac, ao_p0, ao_p1, ao_p2, wmmse_update
 from isac_beamkit.model import GmmAnglePrior, RxArchitecture
 from isac_beamkit.pcrb import PcrbEngine, assemble_pfim, fim_oracle
-from isac_beamkit.sensing_opt import ao_p0, dft_select_fc
+from isac_beamkit.sensing_opt import dft_select_fc
 
 from conftest import make_scenario, random_phases, random_psd
 from test_cvxkit import dual_grid_oracle

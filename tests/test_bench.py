@@ -317,7 +317,7 @@ class TestPowerPattern:
         # the 60% threshold is calibrated at the reference array scale; small
         # arrays have beams too wide for a +-3 sigma window
         import isac_beamkit as bk
-        from isac_beamkit.sensing_opt import ao_p0
+        from isac_beamkit.isac_opt import ao_p0
 
         sc = bk.sensing_scenario(quadrature_points=1024)
         rep = ao_p0(sc)

@@ -278,6 +278,19 @@ class TestExecute:
             rows["random_phase:2"]["pcrb_theta"]
         ) * (1 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "label",
+        ["random_phase:0", "random_phase:-3", "random_phase:abc", "no_such_scheme", "proposed:5"],
+    )
+    def test_bad_scheme_label_exits_two(self, tmp_path, capsys, label):
+        sc_path = self._write(tmp_path, small_doc())
+        out = tmp_path / "bench.csv"
+        code = execute(RunConfig("benchmark", sc_path, str(out), schemes=(label,)))
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scheme" in err
+
     def test_cli_main_parses(self, tmp_path):
         from isac_beamkit.cli import main
 

@@ -9,6 +9,7 @@ from isac_beamkit.isac_opt import (
     _optimal_rbb_design,
     _vec,
     ao_isac,
+    ao_p0,
     ao_p1,
     ao_p2,
     fpp_sca_vrf,
@@ -17,7 +18,7 @@ from isac_beamkit.isac_opt import (
 )
 from isac_beamkit.model import RxArchitecture
 from isac_beamkit.pcrb import PcrbEngine
-from isac_beamkit.sensing_opt import ao_p0, coordinate_update_transmit
+from isac_beamkit.sensing_opt import coordinate_update_transmit, random_sensing_design
 
 from conftest import make_scenario, random_phases, random_psd
 
@@ -256,6 +257,41 @@ class TestAoP1:
             rep = optimize(sc, eng, max_outer=1, tol=1e-6, restarts=2, n_init=3, sca_iters=2)
             assert rep.trace == ref.trace
             assert rep.final_pcrb == ref.final_pcrb
+
+    def test_zero_rate_target_honours_start_options(self):
+        sc = make_scenario(seed=4)
+        arrays = sc.arrays
+        v = random_phases(np.random.default_rng(4), (arrays.n_tx, arrays.n_rf_tx))
+        r0 = np.eye(arrays.n_rf_tx, dtype=complex) * sc.power / (arrays.n_tx * arrays.n_rf_tx)
+        d = HybridDesign(v, (r0,), RxPhases(np.ones(arrays.n_rx, dtype=complex)))
+        rep = ao_p1(sc, PcrbEngine(sc), init_design=d, fixed_v=True)
+        assert np.array_equal(rep.design.v_rf, d.v_rf)
+        assert rep.final_pcrb < PcrbEngine(sc).pcrb(d)
+
+    def test_zero_rate_ao_isac_is_ao_p0(self):
+        for k in (1, 2):
+            sc = make_scenario(seed=6, subcarriers=k)
+            eng = PcrbEngine(sc)
+            rep = ao_isac(sc, eng, max_outer=7, tol=1e-10)
+            ref = ao_p0(sc, eng, max_outer=7, tol=1e-10)
+            assert rep.trace == ref.trace
+            assert np.array_equal(rep.design.v_rf, ref.design.v_rf)
+
+    def test_restarts_refused_with_init_design(self):
+        # restarts replace the start, so a given start cannot also be kept
+        sc = make_scenario(seed=4)
+        d = ao_p0(sc, max_outer=1).design
+        with pytest.raises(ValueError, match="restarts"):
+            ao_p1(sc, init_design=d, fixed_v=True, restarts=1)
+        # without a given start each restart keeps its own analog matrix
+        # (one chain: the all-ones start is then a usable fixed matrix)
+        sc = make_scenario(seed=4, n_rf_tx=1)
+        rep = ao_p0(sc, fixed_v=True, restarts=2)
+        rng = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(0xA0,)))
+        starts = [np.ones((4, 1), dtype=complex)] + [
+            random_sensing_design(sc, rng).v_rf for _ in range(2)
+        ]
+        assert any(np.array_equal(rep.design.v_rf, v) for v in starts)
 
     def test_identities_match_convex_optimum(self):
         sc = feasible_rate_scenario(

@@ -3,10 +3,9 @@ import pytest
 
 from isac_beamkit.cvxkit import mimo_capacity
 from isac_beamkit.designs import HybridDesign, RxPhases, digital_factor
-from isac_beamkit.isac_opt import _vec, ao_isac, ao_p1, ao_p2, fpp_sca_vrf, init_random_phase, wmmse_update
+from isac_beamkit.isac_opt import _vec, ao_isac, ao_p0, ao_p1, ao_p2, fpp_sca_vrf, init_random_phase, wmmse_update
 from isac_beamkit.model import WidebandChannel
 from isac_beamkit.pcrb import PcrbEngine, fim_oracle
-from isac_beamkit.sensing_opt import ao_p0
 
 from conftest import make_scenario, random_phases, random_psd
 from test_cvxkit import dual_grid_oracle

@@ -4,8 +4,8 @@ import pytest
 from isac_beamkit.designs import HybridDesign, RxIdentity, RxPhases
 from isac_beamkit.model import GmmAnglePrior, RxArchitecture
 from isac_beamkit.pcrb import PcrbEngine
+from isac_beamkit.isac_opt import ao_p0
 from isac_beamkit.sensing_opt import (
-    ao_p0,
     coordinate_update_receive,
     coordinate_update_transmit,
     dft_select_fc,
