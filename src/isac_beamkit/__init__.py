@@ -21,8 +21,6 @@ from .model import (
 from .quadrature import (
     QuadratureGrid,
     build_grid,
-    compute_A_matrices,
-    compute_B_matrix,
     prior_fisher_theta,
 )
 from .designs import (

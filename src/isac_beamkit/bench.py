@@ -8,8 +8,9 @@ Scheme catalogue (sensing-only when the scenario's rate target is zero):
   random_phase:N    best of N uniform-phase analog draws, exact digital stage
   direction_align   analog columns steer at the user and the most probable
                     target angles; receive/digital optimized
-  partial_prior     optimizes the point CRB at the most probable angle but is
-                    scored by the true PCRB
+  partial_prior     runs the AO with the engine collapsed onto the most
+                    probable angle (PcrbEngine.at_angle), i.e. optimizes the
+                    point CRB there, and is scored by the true PCRB
   proposed          the alternating optimizer of this package
 """
 
@@ -37,13 +38,11 @@ from .designs import (
 )
 from .isac_opt import ao_p1, ao_p2, init_random_phase
 from .model import (
-    ArrayConfig,
     ModelError,
     RicianChannelSpec,
     RxArchitecture,
     Scenario,
     realize_channel,
-    steering_derivative,
     steering_vector,
 )
 from .pcrb import PcrbEngine
@@ -94,57 +93,15 @@ class Scheme:
         return self.kind.value
 
 
-class PointAngleObjective:
-    """Point-evaluated surrogates of the prior-weighted integrals.
-
-    Replaces the integral over the angle density by the integrand at one
-    angle (the density's mode), i.e. the classical CRB objective at the most
-    probable target position.
-    """
-
-    def __init__(self, scenario: Scenario, theta: float):
-        arrays = scenario.arrays
-        a = steering_vector(arrays.n_tx, theta)
-        da = steering_derivative(arrays.n_tx, theta)
-        b = steering_vector(arrays.n_rx, theta)
-        db = steering_derivative(arrays.n_rx, theta)
-        # Mdot = db a^H + b da^H at the chosen angle
-        self.m_dot = np.outer(db, a.conj()) + np.outer(b, da.conj())
-
-    def a1(self, w: np.ndarray) -> np.ndarray:
-        g = w @ w.conj().T
-        out = self.m_dot.conj().T @ g @ self.m_dot
-        return 0.5 * (out + out.conj().T)
-
-    def b_tilde(self, tx_cov: np.ndarray) -> np.ndarray:
-        out = self.m_dot @ tx_cov @ self.m_dot.conj().T
-        return 0.5 * (out + out.conj().T)
-
-
-def _fully_digital_scenario(scenario: Scenario) -> Scenario:
-    arrays = scenario.arrays
-    fd = ArrayConfig(
-        arrays.n_tx,
-        arrays.n_rx,
-        arrays.n_user,
-        arrays.n_tx,
-        arrays.n_rx,
-        RxArchitecture.FULLY_DIGITAL,
+def _fully_digital_scenario(scenario: Scenario, n_rf_tx: int) -> Scenario:
+    """The scenario with a fully-digital receiver and n_rf_tx transmit chains."""
+    arrays = replace(
+        scenario.arrays,
+        n_rf_tx=n_rf_tx,
+        n_rf_rx=scenario.arrays.n_rx,
+        rx_architecture=RxArchitecture.FULLY_DIGITAL,
     )
-    return scenario.replace(arrays=fd)
-
-
-def _fd_receive_scenario(scenario: Scenario) -> Scenario:
-    arrays = scenario.arrays
-    fd = ArrayConfig(
-        arrays.n_tx,
-        arrays.n_rx,
-        arrays.n_user,
-        arrays.n_rf_tx,
-        arrays.n_rx,
-        RxArchitecture.FULLY_DIGITAL,
-    )
-    return scenario.replace(arrays=fd)
+    return scenario.replace(arrays=arrays)
 
 
 def _convex_exact(scenario: Scenario, engine: PcrbEngine, t_start: float) -> AoReport:
@@ -195,7 +152,7 @@ def _alignment_matrix(scenario: Scenario) -> np.ndarray:
 def _dispatch_ao(scenario: Scenario, engine: PcrbEngine, ao_options: dict, **start) -> AoReport:
     """ao_p2 for OFDM, ao_p1 for narrowband, at any rate target.
 
-    start holds a scheme's init_design, fixed_v or surrogate integrals.
+    start holds a scheme's init_design or fixed_v.
     """
     optimize = ao_p2 if scenario.subcarriers > 1 else ao_p1
     return optimize(scenario, engine, **start, **ao_options)
@@ -220,11 +177,11 @@ def run_scheme(
         engine = PcrbEngine(scenario)
 
     if scheme.kind is SchemeKind.FULLY_DIGITAL:
-        sc = _fully_digital_scenario(scenario)
+        sc = _fully_digital_scenario(scenario, scenario.arrays.n_tx)
         return _convex_exact(sc, engine.for_scenario(sc), t_start)
 
     if scheme.kind is SchemeKind.FD_RECEIVE:
-        sc = _fd_receive_scenario(scenario)
+        sc = _fully_digital_scenario(scenario, scenario.arrays.n_rf_tx)
         return _dispatch_ao(sc, engine.for_scenario(sc), ao_options)
 
     if scheme.kind is SchemeKind.PROPOSED:
@@ -246,14 +203,7 @@ def run_scheme(
 
     if scheme.kind is SchemeKind.FD_TRANSMIT:
         arrays = scenario.arrays
-        fd_tx = ArrayConfig(
-            arrays.n_tx,
-            arrays.n_rx,
-            arrays.n_user,
-            arrays.n_tx,
-            arrays.n_rf_rx,
-            arrays.rx_architecture,
-        )
+        fd_tx = replace(arrays, n_rf_tx=arrays.n_tx)
         sc = scenario.replace(arrays=fd_tx)
         eng = engine.for_scenario(sc)
         k = sc.subcarriers
@@ -272,10 +222,8 @@ def run_scheme(
 
     if scheme.kind is SchemeKind.PARTIAL_PRIOR:
         theta_max = scenario.angle_prior.most_probable_angle()
-        point = PointAngleObjective(scenario, theta_max)
-        return _dispatch_ao(
-            scenario, engine, ao_options, a1_fn=point.a1, btilde_fn=point.b_tilde
-        )
+        rep = _dispatch_ao(scenario, engine.at_angle(theta_max), ao_options)
+        return replace(rep, final_pcrb=engine.pcrb(rep.design))
 
     raise SchemeError(f"unknown scheme {scheme!r}")
 
@@ -335,17 +283,7 @@ def _scenario_for_value(spec: SweepSpec, value) -> Scenario:
     if spec.variable == "rate_target_bits":
         return sc.replace(rate_target=float(value) * math.log(2.0))
     n_rf_tx = int(value)
-    n_rf_rx = spec.rf_budget - n_rf_tx
-    arrays = sc.arrays
-    new_arrays = ArrayConfig(
-        arrays.n_tx,
-        arrays.n_rx,
-        arrays.n_user,
-        n_rf_tx,
-        n_rf_rx,
-        arrays.rx_architecture,
-    )
-    return sc.replace(arrays=new_arrays)
+    return sc.replace(arrays=replace(sc.arrays, n_rf_tx=n_rf_tx, n_rf_rx=spec.rf_budget - n_rf_tx))
 
 
 def _run_cell(args) -> SweepRow:
@@ -371,23 +309,37 @@ def _run_cell(args) -> SweepRow:
     )
     sc = sc.replace(seed=run_seed)
     ao_options = dict(spec.ao_options) if spec.ao_options else {}
+    return scheme_row(scheme, sc, spec.variable, value, trial, spec.record_timings, ao_options)
+
+
+def scheme_row(
+    scheme: Scheme,
+    scenario: Scenario,
+    sweep_var: str,
+    value,
+    trial: int,
+    record_timings: bool,
+    ao_options: Optional[dict] = None,
+) -> SweepRow:
+    """Run one scheme and report it as a row.
+
+    An infeasible rate target gives a row with feasible=False and the best
+    achievable rate. wall_ms is 0 unless record_timings is set, so rows stay
+    reproducible.
+    """
     t0 = time.perf_counter()
     try:
-        rep = run_scheme(scheme, sc, ao_options=ao_options)
-        wall = (time.perf_counter() - t0) * 1e3 if spec.record_timings else 0.0
-        return SweepRow(
-            spec.variable, float(value), label, trial,
-            float(rep.final_pcrb), float(rep.final_rate),
-            float(rep.final_rate) / math.log(2.0),
-            int(rep.iterations), bool(rep.feasible), wall,
-        )
+        rep = run_scheme(scheme, scenario, ao_options=ao_options)
     except RateInfeasibleError as exc:
-        wall = (time.perf_counter() - t0) * 1e3 if spec.record_timings else 0.0
-        return SweepRow(
-            spec.variable, float(value), label, trial,
-            float("nan"), exc.max_rate, exc.max_rate / math.log(2.0),
-            0, False, wall,
-        )
+        pcrb, rate, iterations, ok = float("nan"), exc.max_rate, 0, False
+    else:
+        pcrb, rate = float(rep.final_pcrb), float(rep.final_rate)
+        iterations, ok = int(rep.iterations), bool(rep.feasible)
+    wall = (time.perf_counter() - t0) * 1e3 if record_timings else 0.0
+    return SweepRow(
+        sweep_var, float(value), scheme.label(), trial,
+        pcrb, rate, rate / math.log(2.0), iterations, ok, wall,
+    )
 
 
 def _max_workers() -> int:

@@ -57,6 +57,7 @@ from .bench import (
     pattern_mass_near_prior,
     power_pattern,
     run_scheme,
+    scheme_row,
     sweep,
 )
 from .cvxkit import RateInfeasibleError, SolverError
@@ -519,30 +520,10 @@ def _cmd_benchmark(cfg: RunConfig, scenario: Scenario) -> int:
         "partial_prior",
         "proposed",
     )
-    rows = []
-    import time as _time
-
-    for label in schemes:
-        scheme = Scheme.parse(label)
-        t0 = _time.perf_counter()
-        try:
-            rep = run_scheme(scheme, scenario)
-            rows.append(
-                SweepRow(
-                    "scheme", 0.0, scheme.label(), 0,
-                    rep.final_pcrb, rep.final_rate, rep.final_rate / LN2,
-                    rep.iterations, rep.feasible,
-                    (_time.perf_counter() - t0) * 1e3 if cfg.timings else 0.0,
-                )
-            )
-        except RateInfeasibleError as exc:
-            rows.append(
-                SweepRow(
-                    "scheme", 0.0, scheme.label(), 0,
-                    float("nan"), exc.max_rate, exc.max_rate / LN2, 0, False,
-                    (_time.perf_counter() - t0) * 1e3 if cfg.timings else 0.0,
-                )
-            )
+    rows = [
+        scheme_row(Scheme.parse(label), scenario, "scheme", 0.0, 0, cfg.timings)
+        for label in schemes
+    ]
     if not cfg.out_path:
         raise ConfigError("benchmark needs --out")
     export(rows, cfg.out_path, cfg.out_format)

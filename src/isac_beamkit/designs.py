@@ -142,9 +142,6 @@ class HybridDesign:
     def n_subcarriers(self) -> int:
         return len(self.r_bb)
 
-    def tx_dim(self) -> int:
-        return self.r_bb[0].shape[0]
-
     def tx_covariances(self) -> list[np.ndarray]:
         """Per-subcarrier transmit covariances V R_k V^H."""
         if self.v_rf is None:

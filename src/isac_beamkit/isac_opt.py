@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -453,7 +453,7 @@ def init_random_phase(
         raise ValueError("n_rand must be >= 1")
     if engine is None:
         engine = PcrbEngine(scenario)
-    pcrb_of = _TraceObjective(engine, scenario.arrays, engine.a1)
+    pcrb_of = _TraceObjective(engine, scenario.arrays)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x1A,)))
     best: Optional[HybridDesign] = None
     best_pcrb = np.inf
@@ -476,10 +476,9 @@ def init_random_phase(
 
 def _start_design(
     scenario: Scenario,
-    engine: PcrbEngine,
+    objective: _TraceObjective,
     n_init: int,
     init_design: Optional[HybridDesign],
-    objective: _TraceObjective,
 ) -> HybridDesign:
     """Starting point of the AO: feasible for the scenario's rate target.
 
@@ -504,14 +503,14 @@ def _start_design(
             return init_design
         return _optimal_rbb_design(scenario, init_design, objective.a1(init_design.rx))[0]
     try:
-        return init_random_phase(scenario, n_init, scenario.seed, engine)
+        return init_random_phase(scenario, n_init, scenario.seed, objective.engine)
     except RateInfeasibleError as exc:
         gram = sum(h.conj().T @ h for h in scenario.channel.per_subcarrier())
         vec = np.linalg.eigh(gram)[1][:, ::-1]
         v = np.exp(1j * np.angle(vec[:, : arrays.n_rf_tx]))
         cand = HybridDesign(v, tuple(_initial_r_bb(scenario, arrays.n_rf_tx)), default_rx(arrays))
         try:
-            return _optimal_rbb_design(scenario, cand, engine.a1(cand.rx.matrix(arrays)))[0]
+            return _optimal_rbb_design(scenario, cand, objective.a1(cand.rx))[0]
         except RateInfeasibleError as exc2:
             raise RateInfeasibleError(
                 scenario.rate_target, max(exc.max_rate, exc2.max_rate)
@@ -525,7 +524,6 @@ def _rate_tx_update(
     fixed_v: bool,
     wmmse_rounds: int,
     sca_iters: int,
-    eps: float,
 ) -> tuple[Optional[HybridDesign], bool]:
     """Transmit block under a rate floor: the common analog matrix via
     stacked WMMSE/FPP-SCA rounds (skipped when the transmitter is fully
@@ -551,7 +549,6 @@ def _rate_tx_update(
                 design.r_bb,
                 aux_list,
                 v_bar,
-                eps=eps,
                 max_iters=sca_iters,
             )
             if not state.ok:
@@ -573,12 +570,8 @@ def ao_isac(
     wmmse_rounds: int = 2,
     sca_iters: int = 5,
     tol: float = 1e-8,
-    eps: float = 1e3,
     init_design: Optional[HybridDesign] = None,
     fixed_v: bool = False,
-    update_rx: bool = True,
-    a1_fn: Optional[Callable] = None,
-    btilde_fn: Optional[Callable] = None,
 ) -> AoReport:
     """Alternating optimization for any rate target and any K.
 
@@ -586,22 +579,21 @@ def ao_isac(
     against the carrier-summed integral. The rate target chooses the start
     and the transmit block (see _start_design): without a rate floor the
     closed-form sensing update, with one the WMMSE/FPP-SCA rounds plus the
-    digital re-solve (see _rate_tx_update). n_init, wmmse_rounds, sca_iters
-    and eps tune the latter only. Every block is committed only if the PCRB
-    does not increase and the iterate stays feasible; the loop stops once
-    an outer iteration changes the PCRB by at most tol relative. fixed_v
-    keeps the analog matrix of the start. a1_fn/btilde_fn replace the
-    prior-weighted integrals for surrogate-objective benchmark schemes, in
-    which case the trace logs the surrogate while final_pcrb stays the true
-    bound.
+    digital re-solve (see _rate_tx_update). n_init, wmmse_rounds and
+    sca_iters tune the latter only. Every block is committed only if the
+    PCRB does not increase and the iterate stays feasible; the loop stops
+    once an outer iteration changes the PCRB by at most tol relative.
+    fixed_v keeps the analog matrix of the start. The engine's A1 and B~
+    define the objective: a surrogate-objective scheme passes its own
+    engine (for example PcrbEngine.at_angle), and the trace, the start and
+    final_pcrb then all use that objective.
     """
     t_start = time.perf_counter()
     if engine is None:
         engine = PcrbEngine(scenario)
-    objective = _TraceObjective(engine, scenario.arrays, a1_fn or engine.a1)
-    btilde_fn = btilde_fn or engine.b_tilde
+    objective = _TraceObjective(engine, scenario.arrays)
 
-    design = _start_design(scenario, engine, n_init, init_design, objective)
+    design = _start_design(scenario, objective, n_init, init_design)
     current = objective(design)
     trace = [current]
 
@@ -612,7 +604,7 @@ def ao_isac(
         a_tilde = objective.a1(design.rx)
         if scenario.rate_target > 0:
             cand, analog_failed = _rate_tx_update(
-                scenario, design, a_tilde, fixed_v, wmmse_rounds, sca_iters, eps
+                scenario, design, a_tilde, fixed_v, wmmse_rounds, sca_iters
             )
         else:
             cand, analog_failed = _sensing_tx_update(scenario, a_tilde, design, fixed_v), False
@@ -622,8 +614,8 @@ def ao_isac(
                 design, current = cand, value
 
         # --- receive side --------------------------------------------------
-        if update_rx and not isinstance(design.rx, RxIdentity):
-            rx_new = _rx_update(scenario, design, btilde_fn(sum(design.tx_covariances())))
+        if not isinstance(design.rx, RxIdentity):
+            rx_new = _rx_update(scenario, design, engine.b_tilde(sum(design.tx_covariances())))
             cand = HybridDesign(design.v_rf, design.r_bb, rx_new)
             value = objective(cand)
             if value <= trace[-1] * (1 + 1e-12):

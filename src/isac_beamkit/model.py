@@ -117,8 +117,9 @@ def steering_derivative(n: int, theta: float) -> np.ndarray:
 def steering_block(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steering vectors and derivatives for a batch of angles.
 
-    Returns (S, dS), each of shape (len(thetas), n). Used by the node tables
-    and Monte-Carlo paths, where per-angle python calls would dominate.
+    Returns (S, dS), each of shape (len(thetas), n). Used by the
+    Monte-Carlo and pattern paths, where per-angle python calls would
+    dominate.
     """
     thetas = np.asarray(thetas, dtype=float)
     m = element_positions(n)
@@ -441,9 +442,6 @@ class Scenario:
                 f"channel shape {(n_user, n_tx)} does not match arrays "
                 f"({self.arrays.n_user}, {self.arrays.n_tx})"
             )
-
-    def with_channel(self, channel: CommChannel) -> "Scenario":
-        return self.replace(channel=channel)
 
     def replace(self, **kw) -> "Scenario":
         from dataclasses import replace as _replace

@@ -24,19 +24,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .designs import HybridDesign, digital_factor
 from .model import ModelError, Scenario, steering_block
-from .quadrature import (
-    LagMoments,
-    QuadratureGrid,
-    SteeringTables,
-    build_grid,
-    prior_fisher_theta,
-)
+from .quadrature import LagMoments, QuadratureGrid, build_grid, prior_fisher_theta
 
 
 class PcrbError(ValueError):
@@ -66,7 +59,8 @@ class PcrbEngine:
     """Caches the prior lag moments of one scenario for repeated evaluations.
 
     All optimizer loops get their A1/A2/Btilde/PCRB values from here so that
-    the moments are computed once per scenario.
+    the moments are computed once per scenario. A scheme that optimizes
+    another objective passes another engine (see at_angle).
     """
 
     def __init__(self, scenario: Scenario, grid: QuadratureGrid | None = None):
@@ -74,13 +68,23 @@ class PcrbEngine:
         self.grid = grid if grid is not None else build_grid(
             scenario.angle_prior, scenario.quadrature_points
         )
-        self.moments = LagMoments(scenario.arrays, scenario.angle_prior, self.grid)
-        self.f_p_theta = prior_fisher_theta(scenario.angle_prior, self.grid)
+        prior = scenario.angle_prior
+        self.moments = LagMoments(
+            scenario.arrays, self.grid.nodes, self.grid.weights * prior.pdf(self.grid.nodes)
+        )
+        self.f_p_theta = prior_fisher_theta(prior, self.grid)
 
-    @cached_property
-    def tables(self) -> SteeringTables:
-        """Steering vectors at the grid nodes, built on first use for direct node sums."""
-        return SteeringTables(self.scenario.arrays, self.scenario.angle_prior, self.grid)
+    def at_angle(self, theta: float) -> "PcrbEngine":
+        """Engine of the point objective: the prior collapsed onto theta.
+
+        A1, A2 and B~ become the integrands at theta (weight 1), as in the
+        classical CRB at that angle. The scenario and the prior Fisher term
+        are kept, so its PCRB is the bound the partial-prior benchmark
+        optimizes.
+        """
+        engine = copy.copy(self)
+        engine.moments = LagMoments(self.scenario.arrays, np.array([theta]), np.ones(1))
+        return engine
 
     def for_scenario(self, scenario: Scenario) -> "PcrbEngine":
         """Engine of a scenario that differs from this one only in its RF chains.

@@ -37,7 +37,11 @@ B~ is the same map with the transmit and receive roles swapped, and A2 is
 the Toeplitz expansion of the unweighted lag sums against N. For a ULA the
 prior-weighted integral of a(theta) a(theta)^H is Toeplitz (Stoica & Moses,
 Spectral Analysis of Signals, ch. 6). The operator holds for that array model
-only; another geometry needs a node sum over :class:`SteeringTables`.
+only; another geometry needs its own operator.
+
+The moments take any angles and weights. The prior-weighted grid gives the
+PCRB integrals; one angle with weight 1 gives the point (classical CRB)
+integrands at that angle, the partial-prior benchmark's objective.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArrayConfig, GmmAnglePrior, HALF_PI, element_positions, steering_block
+from .model import ArrayConfig, GmmAnglePrior, HALF_PI, element_positions
 
 DEFAULT_POINTS = 2048
 # hot/cold node-density ratio inside +-8 sigma of a mixture component
@@ -132,39 +136,23 @@ def prior_fisher_theta(prior: GmmAnglePrior, grid: QuadratureGrid) -> float:
     return float(grid.weights @ integrand)
 
 
-class SteeringTables:
-    """Steering vectors and derivatives evaluated at the grid nodes.
-
-    For direct node sums over the prior (for example exhaustive searches that
-    need Mdot(theta) v per node). The Fisher integrals do not use them; see
-    :class:`LagMoments`.
-    """
-
-    def __init__(self, arrays: ArrayConfig, prior: GmmAnglePrior, grid: QuadratureGrid):
-        self.arrays = arrays
-        self.grid = grid
-        self.wp = grid.weights * prior.pdf(grid.nodes)  # quadrature weight x density
-        self.a, self.da = steering_block(arrays.n_tx, grid.nodes)
-        self.b, self.db = steering_block(arrays.n_rx, grid.nodes)
-
-
 class LagMoments:
-    """Prior moments of the ULA phase lags and the Fisher integrals built on them.
+    """Weighted moments of the ULA phase lags and the Fisher integrals built on them.
 
-    Holds the (2 n_tx - 1) x (2 n_rx - 1) Hankel matrices of the moments
-    with and without cos^2 (the former scaled by pi^2): entry
-    [e + n_tx - 1, d + n_rx - 1] is M[d + e] for a transmit lag e and a
-    receive lag d. Valid only for the symmetric half-wavelength ULA of
-    :func:`model.steering_block`.
+    weights[n] is the weight of the angle nodes[n]: the quadrature weight
+    times the prior density (wp_n above), or 1 for a single angle. Holds the (2 n_tx - 1) x (2 n_rx - 1) Hankel
+    matrices of the moments with and without cos^2 (the former scaled by
+    pi^2): entry [e + n_tx - 1, d + n_rx - 1] is M[d + e] for a transmit lag
+    e and a receive lag d. Valid only for the symmetric half-wavelength ULA
+    of :func:`model.steering_block`.
     """
 
-    def __init__(self, arrays: ArrayConfig, prior: GmmAnglePrior, grid: QuadratureGrid):
+    def __init__(self, arrays: ArrayConfig, nodes: np.ndarray, weights: np.ndarray):
         n_tx, n_rx = arrays.n_tx, arrays.n_rx
         self.tx_pos = element_positions(n_tx)
         self.rx_pos = element_positions(n_rx)
-        wp = grid.weights * prior.pdf(grid.nodes)
-        weights = np.stack([np.pi**2 * wp * np.cos(grid.nodes) ** 2, wp], axis=1)
-        phase = np.pi * np.outer(np.arange(n_tx + n_rx - 1), np.sin(grid.nodes))
+        weights = np.stack([np.pi**2 * weights * np.cos(nodes) ** 2, weights], axis=1)
+        phase = np.pi * np.outer(np.arange(n_tx + n_rx - 1), np.sin(nodes))
         half = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
         # lags -(n_tx + n_rx - 2) .. n_tx + n_rx - 2, using M_{-l} = conj(M_l)
         full = np.concatenate([half[:0:-1].conj(), half])
@@ -174,10 +162,12 @@ class LagMoments:
 
     def a1(self, w_gram: np.ndarray) -> np.ndarray:
         """Integral of Mdot^H (W W^H) Mdot weighted by the prior (n_tx x n_tx)."""
+        _check_gram(w_gram, self.rx_pos, "receive Gram W W^H")
         return _lag_form(w_gram, self.rx_pos, self.tx_pos, self.hankel_cos2)
 
     def a2(self, w_gram: np.ndarray) -> np.ndarray:
         """Integral of M^H (W W^H) M weighted by the prior (n_tx x n_tx)."""
+        _check_gram(w_gram, self.rx_pos, "receive Gram W W^H")
         return _hermitian(_toeplitz(_lag_sums(w_gram) @ self.hankel.T))
 
     def b_tilde(self, tx_cov: np.ndarray) -> np.ndarray:
@@ -186,7 +176,14 @@ class LagMoments:
         tx_cov is the transmit covariance V R V^H (n_tx x n_tx); for OFDM pass
         the sum over sub-carriers (the integral is linear in tx_cov).
         """
+        _check_gram(tx_cov, self.tx_pos, "transmit covariance")
         return _lag_form(tx_cov, self.tx_pos, self.rx_pos, self.hankel_cos2.T)
+
+
+def _check_gram(x: np.ndarray, positions: np.ndarray, what: str) -> None:
+    n = positions.size
+    if x.shape != (n, n):
+        raise QuadratureError(f"{what} has shape {x.shape}, expected {(n, n)}")
 
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
@@ -222,55 +219,3 @@ def _lag_form(
     q_both, q_row, q_col, q_none = _toeplitz(sums @ hankel.T)
     i, k = out_pos[:, None], out_pos[None, :]
     return _hermitian(q_both - k * q_row - i * q_col + i * k * q_none)
-
-
-def _as_w_matrix(arrays: ArrayConfig, w_descriptor) -> np.ndarray:
-    if isinstance(w_descriptor, np.ndarray):
-        w = w_descriptor
-    else:
-        w = w_descriptor.matrix(arrays)  # receive descriptor object
-    if w.shape[0] != arrays.n_rx:
-        raise QuadratureError(
-            f"receive matrix has {w.shape[0]} rows, expected {arrays.n_rx}"
-        )
-    return w
-
-
-def compute_A_matrices(
-    arrays: ArrayConfig,
-    prior: GmmAnglePrior,
-    w_descriptor,
-    grid: QuadratureGrid,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prior-weighted (A1, A2) for a given receive matrix/descriptor.
-
-    A1 integrates Mdot^H W W^H Mdot, A2 integrates M^H W W^H M; both are
-    Hermitian PSD of size n_tx x n_tx.
-    """
-    w = _as_w_matrix(arrays, w_descriptor)
-    moments = LagMoments(arrays, prior, grid)
-    g = w @ w.conj().T
-    return moments.a1(g), moments.a2(g)
-
-
-def compute_B_matrix(
-    arrays: ArrayConfig,
-    prior: GmmAnglePrior,
-    v_rf: np.ndarray,
-    r_bb_list,
-    grid: QuadratureGrid,
-) -> np.ndarray:
-    """Prior-weighted receive-side matrix; sums the transmit covariance over
-    the provided digital covariances (one entry = narrowband, K = OFDM)."""
-    v = np.eye(arrays.n_tx) if v_rf is None else np.asarray(v_rf)
-    if v.shape[0] != arrays.n_tx:
-        raise QuadratureError(f"v_rf has {v.shape[0]} rows, expected {arrays.n_tx}")
-    tx_cov = np.zeros((arrays.n_tx, arrays.n_tx), dtype=complex)
-    for r in r_bb_list:
-        r = np.asarray(r)
-        if r.shape != (v.shape[1], v.shape[1]):
-            raise QuadratureError(
-                f"digital covariance shape {r.shape} does not match v_rf columns"
-            )
-        tx_cov += v @ r @ v.conj().T
-    return LagMoments(arrays, prior, grid).b_tilde(tx_cov)

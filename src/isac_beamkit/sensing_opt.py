@@ -13,8 +13,6 @@ target.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .designs import HybridDesign, RxDft, RxIdentity, RxPhases, dft_matrix
@@ -136,8 +134,15 @@ def _sensing_tx_update(
         if v is None:
             r = solve_p0_fully_digital(a_tilde, power)
         else:
-            g = v.conj().T @ v
-            _, x = top_generalized_eig(v.conj().T @ a_tilde @ v, g)
+            # maximize x^H V^H A V x over x^H G x = 1 (G = V^H V) on the range
+            # of G, which is rank deficient when columns of V repeat: with
+            # G = U diag(s) U^H, x = U_+ diag(s_+)^(-1/2) y and ||y|| = 1
+            s, u = np.linalg.eigh(v.conj().T @ v)
+            keep = s > 1e-10 * s[-1]
+            basis = u[:, keep] / np.sqrt(s[keep])
+            q = v @ basis
+            _, y = top_generalized_eig(q.conj().T @ a_tilde @ q, np.eye(q.shape[1]))
+            x = basis @ y
             r = power * np.outer(x, x.conj())
         return HybridDesign(v, (r,) + (np.zeros_like(r),) * (design.n_subcarriers - 1), design.rx)
     if arrays.n_rf_tx == 1:
@@ -165,22 +170,21 @@ def _rx_update(
 
 
 class _TraceObjective:
-    """PCRB of a design from the trace against a1_fn (A1 or a surrogate).
+    """PCRB of a design from the trace against the engine's A1.
 
     Designs of one AO run share their receive descriptor until the receive
     block replaces it, so keeping the last (descriptor, A1) pair evaluates
     A1 once per receive matrix.
     """
 
-    def __init__(self, engine: PcrbEngine, arrays: ArrayConfig, a1_fn: Callable):
+    def __init__(self, engine: PcrbEngine, arrays: ArrayConfig):
         self.engine = engine
         self.arrays = arrays
-        self.a1_fn = a1_fn
         self._rx = self._a1 = None
 
     def a1(self, rx) -> np.ndarray:
         if rx is not self._rx:
-            self._rx, self._a1 = rx, self.a1_fn(rx.matrix(self.arrays))
+            self._rx, self._a1 = rx, self.engine.a1(rx.matrix(self.arrays))
         return self._a1
 
     def __call__(self, design: HybridDesign) -> float:

@@ -27,7 +27,7 @@ from isac_beamkit.bench import (
 from isac_beamkit.cvxkit import mimo_capacity, rate_constrained_trace_max_multi
 from isac_beamkit.designs import HybridDesign, RxPhases, dft_matrix
 from isac_beamkit.isac_opt import ao_isac, ao_p0, ao_p1, ao_p2, wmmse_update
-from isac_beamkit.model import GmmAnglePrior, RxArchitecture
+from isac_beamkit.model import GmmAnglePrior, RxArchitecture, steering_block
 from isac_beamkit.pcrb import PcrbEngine, assemble_pfim, fim_oracle
 from isac_beamkit.sensing_opt import dft_select_fc
 
@@ -225,12 +225,15 @@ class TestCriterion8:
         rep = ao_p0(sc, eng, restarts=4)
         k = 12
         alphabet = np.exp(2j * np.pi * np.arange(k) / k)
-        tables = eng.tables
+        # node sums over the engine's grid
+        a, da = steering_block(sc.arrays.n_tx, eng.grid.nodes)
+        b, db = steering_block(sc.arrays.n_rx, eng.grid.nodes)
+        wp = eng.grid.weights * sc.angle_prior.pdf(eng.grid.nodes)
         vs = alphabet[np.array(list(itertools.product(range(k), repeat=2)))]
-        av = np.einsum("vi,ni->vn", vs, tables.a.conj())
-        dav = np.einsum("vi,ni->vn", vs, tables.da.conj())
-        x_all = av[:, :, None] * tables.db[None, :, :] + dav[:, :, None] * tables.b[None, :, :]
-        b_all = np.einsum("n,vnr,vns->vrs", tables.wp, x_all, x_all.conj()) * (sc.power / 2)
+        av = np.einsum("vi,ni->vn", vs, a.conj())
+        dav = np.einsum("vi,ni->vn", vs, da.conj())
+        x_all = av[:, :, None] * db[None, :, :] + dav[:, :, None] * b[None, :, :]
+        b_all = np.einsum("n,vnr,vns->vrs", wp, x_all, x_all.conj()) * (sc.power / 2)
         ds = alphabet[np.array(list(itertools.product(range(k), repeat=4)))]
         obj = np.zeros((vs.shape[0], ds.shape[0]))
         for blk in range(2):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from isac_beamkit.bench import (
-    PointAngleObjective,
     Scheme,
     SchemeError,
     SchemeKind,
@@ -126,6 +125,11 @@ class TestRunScheme:
         eng = PcrbEngine(sc)
         rep = run_scheme(Scheme(SchemeKind.PARTIAL_PRIOR), sc, engine=eng)
         assert rep.final_pcrb == pytest.approx(eng.pcrb(rep.design), rel=1e-12)
+        # re-scored with the given engine; the trace logs the point objective
+        theta = sc.angle_prior.most_probable_angle()
+        assert rep.final_pcrb == eng.pcrb(rep.design)
+        assert rep.trace[-1] == eng.at_angle(theta).pcrb(rep.design)
+        assert rep.trace[-1] != rep.final_pcrb
 
     def test_proposed_beats_random_and_surrogates_on_sensing(self):
         sc = rician_scenario(seed=7)
@@ -140,14 +144,15 @@ class TestRunScheme:
 class TestPointObjective:
     def test_matches_delta_prior_limit(self, rng):
         sc = make_scenario(seed=8)
-        point = PointAngleObjective(sc, 0.4)
+        point = PcrbEngine(sc).at_angle(0.4)
         w = RxPhases(random_phases(rng, 4)).matrix(sc.arrays)
         a_point = point.a1(w)
         from isac_beamkit.model import GmmAnglePrior
-        from isac_beamkit.quadrature import build_grid, compute_A_matrices
+        from isac_beamkit.quadrature import build_grid
+        from test_quadrature import a_matrices
 
         delta = GmmAnglePrior.from_components([(1.0, 0.4, 1e-12)])
-        a_quad, _ = compute_A_matrices(sc.arrays, delta, w, build_grid(delta, 1024))
+        a_quad, _ = a_matrices(sc.arrays, delta, w, build_grid(delta, 1024))
         assert np.abs(a_point - a_quad).max() / np.abs(a_point).max() < 1e-3
 
 

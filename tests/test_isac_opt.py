@@ -283,12 +283,12 @@ class TestAoP1:
         d = ao_p0(sc, max_outer=1).design
         with pytest.raises(ValueError, match="restarts"):
             ao_p1(sc, init_design=d, fixed_v=True, restarts=1)
-        # without a given start each restart keeps its own analog matrix
-        # (one chain: the all-ones start is then a usable fixed matrix)
-        sc = make_scenario(seed=4, n_rf_tx=1)
+        # without a given start each restart keeps its own analog matrix;
+        # the all-ones start has a rank-1 Gram matrix with two chains
+        sc = make_scenario(seed=4)
         rep = ao_p0(sc, fixed_v=True, restarts=2)
         rng = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(0xA0,)))
-        starts = [np.ones((4, 1), dtype=complex)] + [
+        starts = [np.ones((4, 2), dtype=complex)] + [
             random_sensing_design(sc, rng).v_rf for _ in range(2)
         ]
         assert any(np.array_equal(rep.design.v_rf, v) for v in starts)
@@ -346,9 +346,9 @@ class TestAoP1:
 
         monkeypatch.setattr(isac_opt, "fpp_sca_vrf", failing_sca)
         sc = feasible_rate_scenario(seed=2, n_tx=4, n_rx=4, n_rf_tx=2, n_rf_rx=2)
-        rep = ao_isac(sc, n_init=3, max_outer=5, update_rx=False)
-        assert rep.iterations == 1
-        assert rep.trace[1] == rep.trace[0]
+        start = init_random_phase(sc, 3, sc.seed)
+        rep = ao_isac(sc, n_init=3, max_outer=5)
+        assert np.array_equal(rep.design.v_rf, start.v_rf)
         assert not rep.converged
 
     def test_infeasible_init_design_gets_digital_stage_first(self):

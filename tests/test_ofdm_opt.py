@@ -140,14 +140,14 @@ class TestAoP2:
     def test_k1_forwards_every_option(self):
         sc = feasible_rate_scenario(seed=2, n_tx=4, n_rx=4, n_rf_tx=2, n_rf_rx=2)
         eng = PcrbEngine(sc)
-        opts = dict(n_init=4, max_outer=3, wmmse_rounds=2, sca_iters=3, fixed_v=True, update_rx=False)
+        opts = dict(n_init=4, max_outer=3, wmmse_rounds=2, sca_iters=3, fixed_v=True)
         start = init_random_phase(sc, 4, sc.seed, eng)
         rep2 = ao_p2(sc, eng, **opts)
         ref = ao_isac(sc, eng, **opts)
         assert rep2.final_pcrb == ref.final_pcrb
         assert rep2.trace == ref.trace
         assert np.array_equal(rep2.design.v_rf, start.v_rf)
-        assert np.array_equal(rep2.design.rx.d, start.rx.d)
+        assert np.array_equal(rep2.design.rx.d, ref.design.rx.d)
         for a, b in zip(rep2.design.r_bb, ref.design.r_bb):
             assert np.array_equal(a, b)
 
@@ -223,9 +223,9 @@ class TestAoP2:
 
         monkeypatch.setattr(isac_opt, "fpp_sca_vrf", failing_sca)
         sc = ofdm_feasible_scenario(seed=3, k=2, n_tx=3, n_rx=2, n_rf_tx=2, n_rf_rx=2)
-        rep = ao_p2(sc, n_init=3, max_outer=5, update_rx=False)
-        assert rep.iterations == 1
-        assert rep.trace[1] == rep.trace[0]
+        start = init_random_phase(sc, 3, sc.seed)
+        rep = ao_p2(sc, n_init=3, max_outer=5)
+        assert np.array_equal(rep.design.v_rf, start.v_rf)
         assert not rep.converged
 
     def test_rate_sweep_tradeoff(self):

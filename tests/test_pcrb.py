@@ -79,26 +79,6 @@ class TestAssemble:
         assert orc.j_theta_theta == 0.0
 
 
-class TestEngine:
-    def test_builds_no_steering_tables(self, monkeypatch, rng):
-        import isac_beamkit.pcrb as pcrb_mod
-
-        built = []
-        tables = pcrb_mod.SteeringTables
-        monkeypatch.setattr(
-            pcrb_mod, "SteeringTables", lambda *args: built.append(args) or tables(*args)
-        )
-        sc = make_scenario()
-        eng = PcrbEngine(sc)
-        eng.pcrb(small_design(rng, sc))
-        eng.b_tilde(np.eye(sc.arrays.n_tx))
-        assert built == []
-        # built on first use, then cached
-        assert eng.tables is eng.tables
-        assert len(built) == 1
-        assert eng.tables.a.shape == (eng.grid.size, sc.arrays.n_tx)
-
-
 class TestPcrbTheta:
     def test_prior_only(self):
         pf = Pfim(0.0, np.zeros(2), np.eye(2), 100.0, np.eye(2))

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from isac_beamkit.model import ArrayConfig, GmmAnglePrior, RxArchitecture, steering_block
+from isac_beamkit.model import (
+    ArrayConfig,
+    GmmAnglePrior,
+    RxArchitecture,
+    steering_block,
+    steering_derivative,
+    steering_vector,
+)
 from isac_beamkit.quadrature import (
     LagMoments,
     QuadratureError,
     QuadratureGrid,
     build_grid,
-    compute_A_matrices,
-    compute_B_matrix,
     prior_fisher_theta,
 )
 
@@ -23,6 +28,23 @@ REF_PRIOR = GmmAnglePrior.from_components(
         (0.17, 0.95, 10**-2.5),
     ]
 )
+
+
+def prior_moments(arrays, prior, grid):
+    """The lag moments of the prior on the grid, as PcrbEngine builds them."""
+    return LagMoments(arrays, grid.nodes, grid.weights * prior.pdf(grid.nodes))
+
+
+def a_matrices(arrays, prior, w, grid):
+    """Prior-weighted (A1, A2) of a receive matrix W."""
+    moments = prior_moments(arrays, prior, grid)
+    g = w @ w.conj().T
+    return moments.a1(g), moments.a2(g)
+
+
+def b_matrix(arrays, prior, v, r_list, grid):
+    """Prior-weighted B~ of the transmit covariance summed over sub-carriers."""
+    return prior_moments(arrays, prior, grid).b_tilde(sum(v @ r @ v.conj().T for r in r_list))
 
 
 def mc_a_matrices(arrays, prior, w, n_samples, seed):
@@ -84,7 +106,7 @@ class TestGrid:
         vals = []
         for n in (2048, 4096):
             grid = build_grid(REF_PRIOR, n)
-            a1, a2 = compute_A_matrices(arrays, REF_PRIOR, w, grid)
+            a1, a2 = a_matrices(arrays, REF_PRIOR, w, grid)
             f_p = prior_fisher_theta(REF_PRIOR, grid)
             vals.append((a1, a2, f_p))
         rel_a1 = np.abs(vals[0][0] - vals[1][0]).max() / np.abs(vals[1][0]).max()
@@ -115,7 +137,7 @@ class TestAMatrices:
     def test_single_antennas_zero_information(self):
         arrays = ArrayConfig(1, 1, 1, 1, 1, RxArchitecture.FULLY_DIGITAL)
         grid = build_grid(make_prior(), 512)
-        a1, a2 = compute_A_matrices(arrays, make_prior(), np.eye(1), grid)
+        a1, a2 = a_matrices(arrays, make_prior(), np.eye(1), grid)
         assert abs(a1[0, 0]) < 1e-12
         assert a2[0, 0].real > 0
 
@@ -125,9 +147,7 @@ class TestAMatrices:
         arrays = ArrayConfig(3, 2, 2, 2, 1, RxArchitecture.PARTIALLY_CONNECTED)
         w = random_phases(np.random.default_rng(3), (2, 1))
         grid = build_grid(prior, 1024)
-        a1, _ = compute_A_matrices(arrays, prior, w, grid)
-        from isac_beamkit.model import steering_derivative, steering_vector
-
+        a1, _ = a_matrices(arrays, prior, w, grid)
         a = steering_vector(3, theta0)
         da = steering_derivative(3, theta0)
         b = steering_vector(2, theta0)
@@ -141,7 +161,7 @@ class TestAMatrices:
         prior = make_prior()
         w = random_phases(np.random.default_rng(1), (2, 1))
         grid = build_grid(prior, 1024)
-        a1, a2 = compute_A_matrices(arrays, prior, w, grid)
+        a1, a2 = a_matrices(arrays, prior, w, grid)
         m1, se1, m2, se2 = mc_a_matrices(arrays, prior, w, 1_000_000, seed=4)
         assert np.all(np.abs(a1 - m1) <= 3 * se1 + 1e-12)
         assert np.all(np.abs(a2 - m2) <= 3 * se2 + 1e-12)
@@ -153,7 +173,7 @@ class TestAMatrices:
         w[:2, 0] = random_phases(np.random.default_rng(2), 2)
         w[2:, 1] = random_phases(np.random.default_rng(3), 2)
         grid = build_grid(make_prior(), 768)
-        a1, a2 = compute_A_matrices(arrays, make_prior(), w, grid)
+        a1, a2 = a_matrices(arrays, make_prior(), w, grid)
         for m in (a1, a2):
             assert np.abs(m - m.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(m).min() > -1e-10
@@ -164,7 +184,7 @@ class TestBMatrix:
         arrays = ArrayConfig(3, 4, 2, 2, 2, RxArchitecture.PARTIALLY_CONNECTED)
         grid = build_grid(make_prior(), 512)
         v = random_phases(np.random.default_rng(5), (3, 2))
-        b = compute_B_matrix(arrays, make_prior(), v, [np.zeros((2, 2))], grid)
+        b = b_matrix(arrays, make_prior(), v, [np.zeros((2, 2))], grid)
         assert np.abs(b).max() == 0.0
 
     def test_additivity_over_subcarriers(self):
@@ -173,8 +193,8 @@ class TestBMatrix:
         rng = np.random.default_rng(6)
         v = random_phases(rng, (3, 2))
         r1 = random_psd(rng, 2)
-        single = compute_B_matrix(arrays, make_prior(), v, [r1], grid)
-        padded = compute_B_matrix(arrays, make_prior(), v, [r1, np.zeros((2, 2))], grid)
+        single = b_matrix(arrays, make_prior(), v, [r1], grid)
+        padded = b_matrix(arrays, make_prior(), v, [r1, np.zeros((2, 2))], grid)
         np.testing.assert_allclose(single, padded, atol=1e-15)
 
     def test_trace_identity_links_sides(self):
@@ -189,8 +209,8 @@ class TestBMatrix:
             w = np.zeros((4, 2), dtype=complex)
             w[:2, 0] = random_phases(rng, 2)
             w[2:, 1] = random_phases(rng, 2)
-            a1, _ = compute_A_matrices(arrays, prior, w, grid)
-            b = compute_B_matrix(arrays, prior, v, [r], grid)
+            a1, _ = a_matrices(arrays, prior, w, grid)
+            b = b_matrix(arrays, prior, v, [r], grid)
             lhs = np.trace(a1 @ v @ r @ v.conj().T).real
             rhs = np.trace(b @ w @ w.conj().T).real
             assert abs(lhs - rhs) / abs(rhs) < 1e-9
@@ -203,8 +223,8 @@ class TestBMatrix:
         w[2:, 1] = random_phases(rng, 2)
         one = GmmAnglePrior.from_components([(1.0, -0.5, 3e-3)])
         two = GmmAnglePrior.from_components([(0.5, -0.5, 3e-3), (0.5, 0.7, 1e-3)])
-        a1_one, _ = compute_A_matrices(arrays, one, w, build_grid(one, 1024))
-        a1_two, _ = compute_A_matrices(arrays, two, w, build_grid(two, 1024))
+        a1_one, _ = a_matrices(arrays, one, w, build_grid(one, 1024))
+        a1_two, _ = a_matrices(arrays, two, w, build_grid(two, 1024))
         # A1(mixture) - weight * A1(component) is PSD
         diff = a1_two - 0.5 * a1_one
         assert np.linalg.eigvalsh(diff).min() > -1e-10 * np.abs(a1_two).max()
@@ -219,7 +239,7 @@ class TestLagMoments:
         grid = build_grid(REF_PRIOR, 256)
         rng = np.random.default_rng(n_tx * 100 + n_rx)
         w_gram, tx_cov = random_gram(rng, n_rx), random_gram(rng, n_tx)
-        moments = LagMoments(arrays, REF_PRIOR, grid)
+        moments = prior_moments(arrays, REF_PRIOR, grid)
         got = (moments.a1(w_gram), moments.a2(w_gram), moments.b_tilde(tx_cov))
         for g, ref in zip(got, node_sum_integrals(arrays, REF_PRIOR, grid, w_gram, tx_cov)):
             assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -228,9 +248,34 @@ class TestLagMoments:
     def test_btilde_linear_in_transmit_covariance(self):
         # the OFDM receive-side matrix is B~ of the covariance summed over carriers
         arrays = ArrayConfig(8, 12, 1, 1, 1, RxArchitecture.FULLY_CONNECTED)
-        moments = LagMoments(arrays, REF_PRIOR, build_grid(REF_PRIOR, 512))
+        moments = prior_moments(arrays, REF_PRIOR, build_grid(REF_PRIOR, 512))
         rng = np.random.default_rng(12)
         covs = [random_gram(rng, 8) for _ in range(3)]
         summed = moments.b_tilde(sum(covs))
         parts = sum(moments.b_tilde(t) for t in covs)
         assert np.abs(summed - parts).max() <= 1e-13 * np.abs(summed).max()
+
+    def test_one_node_is_the_point_integrand(self):
+        # the prior collapsed onto one angle: A1 and B~ are the integrands there
+        theta = 0.4
+        arrays = ArrayConfig(8, 12, 1, 1, 1, RxArchitecture.FULLY_CONNECTED)
+        moments = LagMoments(arrays, np.array([theta]), np.ones(1))
+        a, da = steering_vector(8, theta), steering_derivative(8, theta)
+        b, db = steering_vector(12, theta), steering_derivative(12, theta)
+        m_dot = np.outer(db, a.conj()) + np.outer(b, da.conj())
+        rng = np.random.default_rng(13)
+        w_gram, tx_cov = random_gram(rng, 12), random_gram(rng, 8)
+        for got, ref in (
+            (moments.a1(w_gram), m_dot.conj().T @ w_gram @ m_dot),
+            (moments.b_tilde(tx_cov), m_dot @ tx_cov @ m_dot.conj().T),
+        ):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_wrong_sized_gram_rejected(self):
+        arrays = ArrayConfig(3, 4, 1, 1, 1, RxArchitecture.FULLY_CONNECTED)
+        moments = prior_moments(arrays, REF_PRIOR, build_grid(REF_PRIOR, 256))
+        for call, n in ((moments.a1, 3), (moments.a2, 5), (moments.b_tilde, 4)):
+            with pytest.raises(QuadratureError):
+                call(np.eye(n))
+        with pytest.raises(QuadratureError):
+            moments.a1(np.ones((4, 3)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from isac_beamkit.designs import HybridDesign, RxIdentity, RxPhases
-from isac_beamkit.model import GmmAnglePrior, RxArchitecture
+from isac_beamkit.model import GmmAnglePrior, RxArchitecture, steering_block
 from isac_beamkit.pcrb import PcrbEngine
 from isac_beamkit.isac_opt import ao_p0
 from isac_beamkit.sensing_opt import (
@@ -241,21 +241,21 @@ class TestAoP0:
 
         k = 12
         alphabet = np.exp(2j * np.pi * np.arange(k) / k)
-        # vectorized exhaustive search over v (k^2) x d (k^4)
-        tables = eng.tables
+        # vectorized exhaustive search over v (k^2) x d (k^4), as node sums
+        # over the engine's grid
         import itertools
 
         vs = np.array(list(itertools.product(range(k), repeat=2)))
         v_all = alphabet[vs]                        # (k^2, 2)
         r_scalar = sc.power / 2.0
         # B(v) per node: (Mdot v)(Mdot v)^H accumulated with weights
-        a, da = tables.a, tables.da
-        b, db = tables.b, tables.db
+        a, da = steering_block(sc.arrays.n_tx, eng.grid.nodes)
+        b, db = steering_block(sc.arrays.n_rx, eng.grid.nodes)
         # Mdot(theta) v = db (a^H v) + b (da^H v)
         av = np.einsum("vi,ni->vn", v_all, a.conj())
         dav = np.einsum("vi,ni->vn", v_all, da.conj())
         x_all = av[:, :, None] * db[None, :, :] + dav[:, :, None] * b[None, :, :]
-        wp = tables.wp
+        wp = eng.grid.weights * sc.angle_prior.pdf(eng.grid.nodes)
         b_all = np.einsum("n,vnr,vns->vrs", wp, x_all, x_all.conj()) * r_scalar
         ds = np.array(list(itertools.product(range(k), repeat=4)))
         d_all = alphabet[ds]                        # (k^4, 4)
