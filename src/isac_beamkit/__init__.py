@@ -42,7 +42,6 @@ from .pcrb import (
 )
 from .cvxkit import (
     ConvexQcqp,
-    QuadConstraint,
     RateInfeasibleError,
     SolverReport,
     mimo_capacity,

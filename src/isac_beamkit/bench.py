@@ -35,6 +35,7 @@ from .designs import (
     RxIdentity,
     achieved_rate,
     default_rx,
+    digital_factor,
 )
 from .isac_opt import ao_p1, ao_p2, init_random_phase
 from .model import (
@@ -43,6 +44,7 @@ from .model import (
     RxArchitecture,
     Scenario,
     realize_channel,
+    steering_block,
     steering_vector,
 )
 from .pcrb import PcrbEngine
@@ -254,6 +256,10 @@ class SweepSpec:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         if len(self.values) == 0:
             raise ValueError("sweep needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("sweep values must be finite")
+        if self.variable == "n_rf_tx" and any(v != int(v) for v in self.values):
+            raise ValueError("n_rf_tx sweep values must be whole numbers")
         if list(self.values) != sorted(self.values):
             raise ValueError("sweep values must be sorted ascending")
         if self.trials < 1:
@@ -462,9 +468,6 @@ def power_pattern(
     arrays = scenario.arrays
     if thetas is None:
         thetas = np.linspace(-math.pi / 2, math.pi / 2, PATTERN_POINTS)
-    from .designs import digital_factor
-    from .model import steering_block
-
     w = design.rx.matrix(arrays)
     a_all, _ = steering_block(arrays.n_tx, thetas)
     b_all, _ = steering_block(arrays.n_rx, thetas)

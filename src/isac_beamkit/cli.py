@@ -493,16 +493,19 @@ def _cmd_sweep(cfg: RunConfig, scenario: Scenario) -> int:
     if not cfg.sweep_var or not cfg.values:
         raise ConfigError("sweep needs --var and --values")
     schemes = tuple(Scheme.parse(s) for s in (cfg.schemes or ("proposed",)))
-    spec = SweepSpec(
-        scenario=scenario,
-        variable=cfg.sweep_var,
-        values=tuple(cfg.values),
-        schemes=schemes,
-        trials=cfg.trials,
-        seed=cfg.seed if cfg.seed is not None else scenario.seed,
-        rf_budget=cfg.rf_budget,
-        record_timings=cfg.timings,
-    )
+    try:
+        spec = SweepSpec(
+            scenario=scenario,
+            variable=cfg.sweep_var,
+            values=tuple(float(v) for v in cfg.values),
+            schemes=schemes,
+            trials=cfg.trials,
+            seed=cfg.seed if cfg.seed is not None else scenario.seed,
+            rf_budget=cfg.rf_budget,
+            record_timings=cfg.timings,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
     rows = sweep(spec)
     if not cfg.out_path:
         raise ConfigError("sweep needs --out")
@@ -652,7 +655,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     values: tuple = ()
     if getattr(args, "values", None):
-        values = tuple(float(v) for v in args.values.split(","))
+        values = tuple(args.values.split(","))  # parsed and checked by the sweep command
     schemes: tuple = ()
     if getattr(args, "schemes", None):
         schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())

@@ -3,12 +3,13 @@
 Three pieces, all deterministic and dependency-free beyond numpy/scipy:
 
   * a top generalized-eigenpair solver (the rank-1 sensing optimum);
-  * a log-barrier interior-point solver for convex QCQPs with linear
-    objective (hosts the slack-penalized analog-beamforming subproblems).
-    Each Newton step eliminates the coordinates that only sparse rows touch,
-    one per row (the modulus and tangent slacks), whose Hessian block is
-    diagonal: they are recovered in closed form and the Cholesky runs on
-    the Schur complement over the remaining coordinates;
+  * a log-barrier interior-point solver for the FPP-SCA subproblem of the
+    analog update: dense quadratic rows on x = [Re v; Im v] plus, per
+    analog entry, a modulus row and a tangent row, each with its own
+    nonnegative slack. Each Newton step solves for the slacks in closed
+    form, which adds one 2x2 block per entry to the Hessian over x, and the
+    Cholesky runs on x alone. Without the per-entry rows the same barrier
+    solves the dense rows only (the feasibility anchor);
   * the rate-constrained trace-maximization solver for the transmit digital
     covariance, via Lagrange duality with two scalar multipliers: at a
     power dual mu the Lagrangian's maximizer is a water-filling whose level
@@ -85,29 +86,27 @@ def top_generalized_eig(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray
 # ---------------------------------------------------------------------------
 
 @dataclass
-class QuadConstraint:
-    """x^T Q x + a^T x + b <= 0 with Q symmetric PSD.
+class ConvexQcqp:
+    """minimize c^T x + eps * (sum p + sum w) over dense and per-entry rows.
 
-    quad is the n x n matrix Q, a length-n vector holding a diagonal Q, or
-    None for a linear row.
+    Dense row r is x^T quad[r] x + lin[r]^T x + offset[r] <= 0, quad[r]
+    symmetric PSD. With a centre x_bar (x = [Re v; Im v], v of length d),
+    the variables are z = [x, p, w] and each entry m adds four rows:
+    |v_m|^2 <= 1 + p_m, 2 Re(conj(x_bar_m) v_m) >= 1 + |x_bar_m|^2 - w_m,
+    p_m >= 0 and w_m >= 0 (the FPP-SCA subproblem). Without one, z = x.
     """
 
-    quad: Optional[np.ndarray]
-    lin: np.ndarray
-    offset: float
-
-
-@dataclass
-class ConvexQcqp:
-    """minimize c^T x subject to convex quadratic/linear <= constraints."""
-
-    objective: np.ndarray
-    constraints: list[QuadConstraint]
-    nonneg: Optional[np.ndarray] = None  # boolean mask of coordinates kept >= 0
+    objective: np.ndarray               # c, on x
+    quad: np.ndarray                    # (r, n, n)
+    lin: np.ndarray                     # (r, n)
+    offset: np.ndarray                  # (r,)
+    x_bar: Optional[np.ndarray] = None
+    eps: float = 0.0
 
     @property
     def dim(self) -> int:
-        return self.objective.size
+        n = self.objective.size
+        return n if self.x_bar is None else 2 * n
 
 
 @dataclass
@@ -121,246 +120,119 @@ class SolverReport:
     message: str = ""
 
 
-class _Constraints:
-    """Row structure of a convex QCQP, built once per solve.
+class _Barrier:
+    """The rows of one ConvexQcqp and their log barrier, in its structure.
 
-    Rows are split by the number of coordinates their gradient touches.
-    Dense rows (more than SPARSE_ROW coordinates: the power and rate rows,
-    trust balls) keep 2Q as a dense block on the union of their supports,
-    the dense support, and enter the barrier Hessian through BLAS. Sparse
-    rows (modulus halves, tangent planes, sign bounds) keep their
-    coordinates in k padded slots and their quadratic as a list of nonzero
-    entries, and enter the Hessian through precomputed flat indices. The
-    linear parts are constants, so a linear row's gradient costs nothing.
+    Dense rows keep 2 Q stacked by rows (2 Q x of every row in one BLAS
+    product) and flattened (sum_r w_r 2 Q_r in another). The per-entry rows
+    are stacked as k = 0 (modulus) and k = 1 (tangent) with slacks
+    s = [p; w] of shape (2, d): row (k, m) has gradient ge[k, :, m] on
+    (Re v_m, Im v_m) and -1 on s[k, m]. Row values are ordered dense rows,
+    modulus and tangent rows, sign bounds -s.
 
-    Block elimination (Boyd & Vandenberghe, App. C.4): a coordinate that no
-    dense row touches and that shares no sparse row with another such
-    coordinate has a diagonal block in the barrier Hessian. These
-    eliminated coordinates (the modulus and tangent slacks of the FPP-SCA
-    subproblems) are solved for in closed form, and the Cholesky runs on the
-    Schur complement over the kept coordinates only. A problem without such
-    coordinates (the feasibility anchor) goes through the same code with an
-    empty eliminated set.
-
-    The per-step methods work in the internal coordinate order `perm`:
-    dense support, other kept coordinates, eliminated coordinates. Rows are
-    ordered dense first, then sparse; `order` maps that order to the input
-    rows (sign bounds numbered after them).
+    Block elimination (Boyd & Vandenberghe, App. C.4): a slack sits in its
+    row (value f) and its sign bound only, so its Hessian block is the
+    scalar 1/f^2 + 1/s^2 and it couples only to (Re v_m, Im v_m). Solving
+    for it in closed form leaves ge ge^T / (f^2 + s^2) on that 2x2 block,
+    and the Cholesky runs on the Hessian over x alone.
     """
 
-    SPARSE_ROW = 8
-
     def __init__(self, problem: ConvexQcqp):
-        n = problem.dim
-        given = problem.constraints
-        signed = np.flatnonzero(problem.nonneg) if problem.nonneg is not None else np.zeros(0, int)
-        m = len(given) + signed.size
-        quads = [c.quad for c in given] + [None] * signed.size
-        lin = np.zeros((m, n))
-        if given:
-            lin[: len(given)] = np.array([c.lin for c in given])
-        lin[len(given) + np.arange(signed.size), signed] = -1.0
-        off = np.zeros(m)
-        off[: len(given)] = [c.offset for c in given]
-        ndim = np.array([0 if q is None else q.ndim for q in quads], dtype=int)
-        support = lin != 0
-        diag_rows = np.flatnonzero(ndim == 1)
-        qdiag = np.array([quads[r] for r in diag_rows]).reshape(-1, n)
-        support[diag_rows] |= qdiag != 0
-        for r in np.flatnonzero(ndim == 2):
-            support[r] |= quads[r].any(axis=0)
-        dense = support.sum(axis=1) > self.SPARSE_ROW
-        order = np.argsort(~dense, kind="stable")
+        r, n = problem.lin.shape
+        quad2 = 2.0 * problem.quad
+        self.r, self.n = r, n
+        self.quad2_rows = quad2.reshape(r * n, n)
+        self.quad2_flat = quad2.reshape(r, n * n)
+        self.lin, self.off = problem.lin, problem.offset
+        self.c = problem.objective
+        self.m = r
+        self.d = 0
+        if problem.x_bar is None:
+            return
+        d = self.d = n // 2
+        self.c = np.concatenate([self.c, np.full(n, float(problem.eps))])
+        self.m = r + 2 * n
+        x_bar = problem.x_bar.reshape(2, d)
+        self.g_tan = -2.0 * x_bar
+        # row value = (ge * x).sum over (Re, Im) * scale + offset - slack
+        self.scale_e = np.array([[0.5], [1.0]])
+        self.off_e = np.stack([np.full(d, -1.0), 1.0 + (x_bar * x_bar).sum(axis=0)])
+        self.zeros_e = np.zeros(3 * d)
+        # flat positions in the n x n Hessian of the 2x2 blocks on (Re v_m, Im v_m)
+        coord = np.arange(n).reshape(2, d)
+        self.block_at = (coord[:, None, :] * n + coord[None, :, :]).ravel()
 
-        # coordinates: dense support, other kept, eliminated
-        in_dense = support[dense].any(axis=0)
-        sp_support = support[~dense]
-        cand = sp_support.any(axis=0) & ~in_dense
-        crowded = (sp_support & cand).sum(axis=1) > 1
-        elim = cand & ~sp_support[crowded].any(axis=0)
-        perm = np.concatenate([
-            np.flatnonzero(in_dense), np.flatnonzero(~in_dense & ~elim), np.flatnonzero(elim)
-        ])
-        pos = np.empty(n, dtype=int)
-        pos[perm] = np.arange(n)
-        n_sup = int(in_dense.sum())
-        n_elim = int(elim.sum())
-        n_keep = n - n_elim
-        self.n, self.m = n, m
-        self.perm, self.inv, self.order = perm, pos, order
-        self.off = off[order]
-        self.n_sup, self.n_keep, self.n_elim = n_sup, n_keep, n_elim
-
-        # dense rows on the dense support, with 2 Q stacked by rows (2 Q x of
-        # every row in one product) and flattened (sum_r w_r 2 Q_r in one)
-        rows_d = order[: int(dense.sum())]
-        sup = perm[:n_sup]
-        self.n_dense = rows_d.size
-        self.d_lin = lin[rows_d][:, sup]
-        quad2 = np.zeros((rows_d.size, n_sup, n_sup))
-        for j, r in enumerate(rows_d):
-            q = quads[r]
-            if q is not None:
-                quad2[j] = 2.0 * (np.diag(q[sup]) if q.ndim == 1 else q[sup][:, sup])
-        self.d_quad2_rows = quad2.reshape(rows_d.size * n_sup, n_sup)
-        self.d_quad2_flat = quad2.reshape(rows_d.size, n_sup * n_sup)
-
-        # sparse rows on k padded slots (a padded slot points at coordinate
-        # 0 with zero coefficients)
-        rows_s = order[rows_d.size :]
-        s_support = support[rows_s]
-        count = s_support.sum(axis=1)
-        k = int(count.max()) if rows_s.size else 0
-        r_i, c_i = np.nonzero(s_support)
-        slot_i = np.arange(r_i.size) - (np.cumsum(count) - count)[r_i]
-        coord = np.zeros((rows_s.size, k), dtype=int)
-        coord[r_i, slot_i] = c_i
-        valid = np.zeros((rows_s.size, k), dtype=bool)
-        valid[r_i, slot_i] = True
-        self.slot = pos[coord]
-        self.slot_flat = self.slot.ravel()
-        self.s_lin = np.where(valid, lin[rows_s[:, None], coord], 0.0)
-        self.ones_k = np.ones(k)
-        # their quadratics as k x k blocks, kept as lists of nonzero entries
-        s_quad = np.zeros((rows_s.size, k, k))
-        pair_valid = valid[:, :, None] & valid[:, None, :]
-        js = np.flatnonzero(ndim[rows_s] == 1)
-        if js.size:
-            slots = np.arange(k)
-            q = qdiag[np.searchsorted(diag_rows, rows_s[js])]
-            s_quad[js[:, None], slots, slots] = np.where(
-                valid[js], q[np.arange(js.size)[:, None], coord[js]], 0.0
-            )
-        for j in np.flatnonzero(ndim[rows_s] == 2):
-            cj = coord[j]
-            s_quad[j] = np.where(pair_valid[j], quads[rows_s[j]][cj[:, None], cj], 0.0)
-        q_row, q_a, q_b = np.nonzero(s_quad)
-        q_val = s_quad[q_row, q_a, q_b]
-        self.q_row, self.q_val, self.q_val2 = q_row, q_val, 2.0 * q_val
-        self.q_slot_a = q_row * k + q_a
-        self.q_ca, self.q_cb = pos[coord[q_row, q_a]], pos[coord[q_row, q_b]]
-
-        # the sparse rows' local Hessian entries inv_r^2 g_a g_b - 2 inv_r Q_ab
-        # as products of the flattened slot gradients, in the order:
-        # eliminated diagonal, kept x eliminated couplings (summed per
-        # coordinate pair), kept x kept (into the reduced matrix); eliminated
-        # x kept entries mirror the couplings and are left out
-        row, a, b = np.nonzero(pair_valid)
-        sa, sb = row * k + a, row * k + b
-        ia, ib = self.slot_flat[sa], self.slot_flat[sb]
-        ka, kb = ia < n_keep, ib < n_keep
-        ee, ke, kk = ~ka & ~kb, ka & ~kb, ka & kb
-        entries = np.concatenate([np.flatnonzero(ee), np.flatnonzero(ke), np.flatnonzero(kk)])
-        self.ent_a, self.ent_b = sa[entries], sb[entries]
-        self.n_ec = int(ee.sum() + ke.sum())
-        entry_of = np.full(pair_valid.shape, -1)
-        entry_of[row[entries], a[entries], b[entries]] = np.arange(entries.size)
-        q_ent = entry_of[q_row, q_a, q_b]
-        self.q_ent, self.q_inv = q_ent[q_ent >= 0], self.n_dense + q_row[q_ent >= 0]
-        self.q_ent_val2 = 2.0 * q_val[q_ent >= 0]
-        # couplings numbered by eliminated coordinate, then kept coordinate
-        pair_of = np.zeros((n_elim, n_keep), dtype=int)
-        pair_of[ib[ke] - n_keep, ia[ke]] = 1
-        self.pair_e, self.pair_k = np.nonzero(pair_of)
-        pair_of[self.pair_e, self.pair_k] = np.arange(self.pair_e.size)
-        # diagonal and couplings come out of one scatter
-        self.ec_dst = np.concatenate([ia[ee] - n_keep, n_elim + pair_of[ib[ke] - n_keep, ia[ke]]])
-        # Schur complement terms: every two couplings of one eliminated coordinate
-        per_e = np.bincount(self.pair_e, minlength=n_elim)
-        group = np.full((n_elim, int(per_e.max()) if n_elim else 0), -1)
-        group[self.pair_e, np.arange(self.pair_e.size) - (np.cumsum(per_e) - per_e)[self.pair_e]] = (
-            np.arange(self.pair_e.size)
-        )
-        both = (group[:, :, None] >= 0) & (group[:, None, :] >= 0)
-        self.schur_a = np.broadcast_to(group[:, :, None], both.shape)[both]
-        self.schur_b = np.broadcast_to(group[:, None, :], both.shape)[both]
-        self.h_dst = np.concatenate([
-            ia[kk] * n_keep + ib[kk],
-            self.pair_k[self.schur_a] * n_keep + self.pair_k[self.schur_b],
-        ])
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """Row values at x (input coordinates), in internal row order."""
-        return self.derivatives(x[self.perm])[0]
-
-    def derivatives(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, dense-row gradients on the dense support, sparse-row
-        gradients on their slots) at internal coordinates x."""
-        xs, xl = x[: self.n_sup], x[self.slot]
-        gd = self.d_lin + (self.d_quad2_rows @ xs).reshape(self.n_dense, self.n_sup)
-        gs = self.s_lin + _scatter(
-            self.q_slot_a, self.q_val2 * x[self.q_cb], self.s_lin.size
-        ).reshape(self.s_lin.shape)
+    def derivatives(self, z: np.ndarray):
+        """(row values, dense-row gradients on x, per-entry row gradients
+        ge of shape (2, 2, d) or None) at z."""
+        x = z[: self.n]
+        gd = self.lin + (self.quad2_rows @ x).reshape(self.r, self.n)
         # x^T Q x + a^T x = (2 Q x + a + a)^T x / 2
-        vals = np.concatenate([(gd + self.d_lin) @ xs, ((gs + self.s_lin) * xl) @ self.ones_k])
-        return 0.5 * vals + self.off, gd, gs
+        vals = 0.5 * ((gd + self.lin) @ x) + self.off
+        if not self.d:
+            return vals, gd, None
+        xv = x.reshape(2, self.d)
+        ge = np.stack([2.0 * xv, self.g_tan])
+        fe = (ge * xv).sum(axis=1) * self.scale_e + self.off_e - z[self.n :].reshape(2, self.d)
+        return np.concatenate([vals, fe.ravel(), -z[self.n :]]), gd, ge
 
-    def grad_sum(self, w: np.ndarray, gd: np.ndarray, gw: np.ndarray) -> np.ndarray:
-        """sum_i w_i grad q_i in internal coordinates, with the sparse rows'
-        part given weighted: gw = w_i * (their slot gradients)."""
-        out = _scatter(self.slot_flat, gw.ravel(), self.n)
-        out[: self.n_sup] += w[: self.n_dense] @ gd
-        return out
+    def grad_sum(self, w: np.ndarray, gd: np.ndarray, ge) -> np.ndarray:
+        """sum_i w_i grad q_i over z."""
+        gx = w[: self.r] @ gd
+        if ge is None:
+            return gx
+        n = self.n
+        we = w[self.r : self.r + n].reshape(2, self.d)
+        gx += (ge * we[:, None, :]).sum(axis=0).ravel()
+        return np.concatenate([gx, -w[self.r : self.r + n] - w[self.r + n :]])
 
-    def ray_coefficients(self, dx: np.ndarray, gd: np.ndarray, gs: np.ndarray):
-        """(v1, v2) with q_i(x + s*dx) = q_i(x) + s*v1_i + s^2*v2_i."""
-        dxs, dxl = dx[: self.n_sup], dx[self.slot]
-        v1 = np.concatenate([gd @ dxs, (gs * dxl) @ self.ones_k])
-        v2 = np.concatenate([
-            0.5 * (self.d_quad2_rows @ dxs).reshape(self.n_dense, self.n_sup) @ dxs,
-            _scatter(self.q_row, self.q_val * dx[self.q_ca] * dx[self.q_cb], self.slot.shape[0]),
-        ])
-        return v1, v2
+    def reduced_system(self, vals: np.ndarray, gd: np.ndarray, ge):
+        """Barrier Hessian sum grad grad^T / q^2 - 2 Q / q with the slacks
+        eliminated: (h, the Schur complement over x, and per-entry (f^2,
+        s^2 / (f^2 + s^2)) for the slack solve, None without entries)."""
+        r, n = self.r, self.n
+        inv = 1.0 / vals[:r]
+        gdi = gd * inv[:, None]
+        h = gdi.T @ gdi - (inv @ self.quad2_flat).reshape(n, n)
+        if ge is None:
+            return h, None
+        f = vals[r : r + n].reshape(2, self.d)
+        f2, s2 = f * f, (vals[r + n :] ** 2).reshape(2, self.d)
+        wgt = 1.0 / (f2 + s2)
+        block = (ge[:, :, None, :] * (ge * wgt[:, None, :])[:, None, :, :]).sum(axis=0)
+        block[[0, 1], [0, 1]] -= 2.0 / f[0]     # the modulus row's curvature
+        h.reshape(-1)[self.block_at] += block.ravel()
+        return h, (f2, s2 * wgt)
 
-    def reduced_system(self, inv: np.ndarray, gd: np.ndarray, gi: np.ndarray):
-        """Barrier Hessian sum grad grad^T / q^2 - 2 Q / q in eliminated form.
+    def newton_step(self, vals: np.ndarray, gd: np.ndarray, ge, g: np.ndarray) -> np.ndarray:
+        """Solve (barrier Hessian) dz = -g, the slacks by block elimination."""
+        h, entry = self.reduced_system(vals, gd, ge)
+        if entry is None:
+            return _pd_solve(h, -g)
+        f2, rho = entry
+        n = self.n
+        g_s = g[n:].reshape(2, self.d)
+        dx = _pd_solve(h, -g[:n] - (ge * (rho * g_s)[:, None, :]).sum(axis=0).ravel())
+        ds = rho * ((ge * dx.reshape(2, self.d)).sum(axis=1) - f2 * g_s)
+        return np.concatenate([dx, ds.ravel()])
 
-        inv = 1/q, gi = the sparse rows' slot gradients times inv. Returns
-        (h, diag, cpl): the Schur complement over the kept coordinates, the
-        diagonal of the eliminated block, and the kept x eliminated
-        couplings (pair_k, pair_e).
-        """
-        nd, nk, ns = self.n_dense, self.n_keep, self.n_sup
-        gi = gi.ravel()
-        ent = gi[self.ent_a] * gi[self.ent_b]
-        ent[self.q_ent] -= self.q_ent_val2 * inv[self.q_inv]
-        ec = _scatter(self.ec_dst, ent[: self.n_ec], self.n_elim + self.pair_k.size)
-        diag, cpl = ec[: self.n_elim], ec[self.n_elim :]
-        scaled = cpl / diag[self.pair_e]
-        h = _scatter(
-            self.h_dst,
-            np.concatenate([ent[self.n_ec :], -scaled[self.schur_a] * cpl[self.schur_b]]),
-            nk * nk,
-        ).reshape(nk, nk)
-        gdi = gd * inv[:nd, None]
-        q_part = -inv[:nd] @ self.d_quad2_flat
-        h[:ns, :ns] += gdi.T @ gdi + q_part.reshape(ns, ns)
-        return h, diag, cpl
-
-    def newton_step(self, inv: np.ndarray, gd: np.ndarray, gi: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Solve (barrier Hessian) dx = -g by block elimination, internal coordinates."""
-        h, diag, cpl = self.reduced_system(inv, gd, gi)
-        nk = self.n_keep
-        g_k, g_e = g[:nk], g[nk:]
-        u = g_e / diag
-        rhs = _scatter(self.pair_k, cpl * u[self.pair_e], nk) - g_k
-        dk = _pd_solve(h, rhs)
-        de = -u - _scatter(self.pair_e, cpl * dk[self.pair_k], self.n_elim) / diag
-        return np.concatenate([dk, de])
-
-
-def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sums of weights over equal indices, as a float array of length size."""
-    if not index.size:
-        return np.zeros(size)  # bincount of no weights is an integer array
-    return np.bincount(index, weights, size)
+    def ray_coefficients(self, dz: np.ndarray, gd: np.ndarray, ge):
+        """(v1, v2) with q_i(z + s*dz) = q_i(z) + s*v1_i + s^2*v2_i."""
+        dx = dz[: self.n]
+        v1 = gd @ dx
+        v2 = 0.5 * (self.quad2_rows @ dx).reshape(self.r, self.n) @ dx
+        if ge is None:
+            return v1, v2
+        dxv, v1s = dx.reshape(2, self.d), -dz[self.n :]
+        return (
+            np.concatenate([v1, (ge * dxv).sum(axis=1).ravel() + v1s, v1s]),
+            np.concatenate([v2, (dxv * dxv).sum(axis=0), self.zeros_e]),
+        )
 
 
 def _pd_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve h y = rhs by Cholesky; a matrix that is not numerically
     positive definite is solved with a small diagonal regularization."""
-    if not rhs.size:
-        return rhs
     # LAPACK posv: potrf then potrs on a copy of h. h is symmetric, so its
     # transpose is the same matrix in Fortran order
     _, y, info = _posv(h.T, rhs, lower=1)
@@ -372,19 +244,13 @@ def _pd_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _newton_barrier(
-    cons: _Constraints,
-    c: np.ndarray,
-    x: np.ndarray,
-    t_bar: float,
-    max_iter: int,
-    stop_fn=None,
+    barrier: _Barrier, z: np.ndarray, t_bar: float, max_iter: int
 ) -> tuple[np.ndarray, int, str]:
-    """Damped Newton on t*c^T x - sum log(-q_i(x)); x must be strictly feasible.
+    """Damped Newton on t*c^T z - sum log(-q_i(z)); z must be strictly feasible.
 
-    Returns (x, iterations, reason) with reason one of "conv" (decrement
+    Returns (z, iterations, reason) with reason one of "conv" (decrement
     small, or at its float64 floor), "cap" (iteration limit), "stall" (line
-    search cannot certify progress at this t in float64), "stop" (caller's
-    early-exit test).
+    search cannot certify progress at this t in float64).
 
     The decrement floor: the gradient t*c - sum grad_i/q_i cancels in
     float64, leaving noise that grows with t, and the decrement cannot
@@ -393,136 +259,79 @@ def _newton_barrier(
     (lambda/(1-lambda))^2, about 1% of the current one, so a decrement
     that does not decrease at all there is rounding noise and the point is
     as centred as float64 allows.
-
-    The iterates live in the constraints' internal coordinate order; x and
-    the result are in the problem's order.
     """
-    x, c = x[cons.perm], c[cons.perm]
+    c = barrier.c
     t_c = t_bar * c
     lam2_prev, full_step = math.inf, False
     for it in range(max_iter):
-        vals, gd, gs = cons.derivatives(x)
-        inv = 1.0 / vals
-        gi = gs * inv[cons.n_dense :, None]
-        g = t_c - cons.grad_sum(inv, gd, gi)
-        dx = cons.newton_step(inv, gd, gi, g)
-        lam2 = -float(g @ dx)
+        vals, gd, ge = barrier.derivatives(z)
+        g = t_c - barrier.grad_sum(1.0 / vals, gd, ge)
+        dz = barrier.newton_step(vals, gd, ge, g)
+        lam2 = -float(g @ dz)
         if lam2 / 2.0 <= 1e-11 or (full_step and lam2_prev < 1e-2 and lam2 >= lam2_prev):
-            return x[cons.inv], it, "conv"
+            return z, it, "conv"
         # backtracking line search on the ray, with constraint values along
         # the ray evaluated from their exact quadratic coefficients
-        v1, v2 = cons.ray_coefficients(dx, gd, gs)
-        c_x = float(c @ x)
-        f0 = t_bar * c_x - np.log(-vals).sum()
-        c_dx = float(c @ dx)
+        v1, v2 = barrier.ray_coefficients(dz, gd, ge)
+        c_z = float(c @ z)
+        f0 = t_bar * c_z - np.log(-vals).sum()
+        c_dz = float(c @ dz)
         for k in range(80):
             step = 0.5**k
             vn = vals + step * v1 + step * step * v2
             if vn.max() < 0:
-                fn = t_bar * (c_x + step * c_dx) - np.log(-vn).sum()
+                fn = t_bar * (c_z + step * c_dz) - np.log(-vn).sum()
                 if fn <= f0 - 0.25 * step * lam2:
                     break
         else:
-            return x[cons.inv], it, "stall"
-        x = x + step * dx
+            return z, it, "stall"
+        z = z + step * dz
         lam2_prev, full_step = lam2, step == 1.0
-        if stop_fn is not None and stop_fn(x[cons.inv]):
-            return x[cons.inv], it + 1, "stop"
-    return x[cons.inv], max_iter, "cap"
-
-
-def _phase_one(cons_problem: ConvexQcqp, x0: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Find a strictly feasible point by minimizing the worst violation.
-
-    A generous ball around x0 bounds the search: the pure feasibility
-    objective says nothing about coordinates the constraints reward pushing
-    to infinity (slack variables), and the barrier would chase them.
-    """
-    n = cons_problem.dim
-    aug_cons = []
-    for con in cons_problem.constraints:
-        lin = np.append(con.lin, -1.0)
-        quad = None
-        if con.quad is not None and con.quad.ndim == 1:
-            quad = np.append(con.quad, 0.0)
-        elif con.quad is not None:
-            quad = np.zeros((n + 1, n + 1))
-            quad[:n, :n] = con.quad
-        aug_cons.append(QuadConstraint(quad, lin, con.offset))
-    if cons_problem.nonneg is not None:
-        for i in np.where(cons_problem.nonneg)[0]:
-            a = np.zeros(n + 1)
-            a[i] = -1.0
-            a[-1] = -1.0
-            aug_cons.append(QuadConstraint(None, a, 0.0))
-    radius2 = 1e4 * n * max(1.0, float(x0 @ x0))
-    ball = np.append(np.ones(n), 0.0)
-    aug_cons.append(QuadConstraint(ball, np.zeros(n + 1), -radius2))
-    aug = ConvexQcqp(np.append(np.zeros(n), 1.0), aug_cons, None)
-    cons = _Constraints(aug)
-    s0 = float(cons.values(np.append(x0, 0.0)).max()) if cons.m else -1.0
-    x = np.append(x0, s0 + 1.0)
-    c = aug.objective
-    t_bar = 1.0
-    for _ in range(40):
-        x, _, reason = _newton_barrier(cons, c, x, t_bar, 60, stop_fn=lambda z: z[-1] < -1e-9)
-        if x[-1] < -1e-9:
-            return x[:n], True
-        if cons.m / t_bar < 1e-10 or reason == "stall":
-            break
-        t_bar *= 20.0
-    return x[:n], bool(x[-1] < 0)
+    return z, max_iter, "cap"
 
 
 def solve_convex_qcqp(
     problem: ConvexQcqp,
+    x0: np.ndarray,
     tol: float = 1e-8,
-    x0: Optional[np.ndarray] = None,
     max_stages: int = 60,
 ) -> SolverReport:
-    """Log-barrier interior-point solve of a convex QCQP.
+    """Log-barrier interior-point solve of a ConvexQcqp from x0 (length dim).
 
-    If x0 is strictly feasible it is used directly, otherwise a phase-I
-    barrier run locates an interior point first. The returned violation and
-    KKT residual are recomputed from the final iterate, the residual with
-    the duals of the last barrier weight that was centred. `message` is
-    empty when the duality-gap target was certified and says why not
-    otherwise; `success` only reports feasibility.
+    x0 must be strictly feasible; any other start is refused with
+    success=False and no iteration. The returned violation and KKT residual
+    are recomputed from the final iterate, the residual with the duals of
+    the last barrier weight that was centred. `message` is empty when the
+    duality-gap target was certified and says why not otherwise; `success`
+    only reports feasibility.
     """
-    cons = _Constraints(problem)
-    n = problem.dim
-    c = problem.objective
-    if x0 is None:
-        x0 = np.zeros(n)
-    x0 = np.asarray(x0, dtype=float)
-    vals0 = cons.values(x0)
-    if vals0.size and vals0.max() >= -1e-12:
-        x0, ok = _phase_one(problem, x0)
-        if not ok:
-            vals = cons.values(x0)
-            return SolverReport(
-                x=x0,
-                objective=float(c @ x0),
-                max_violation=float(vals.max()) if vals.size else 0.0,
-                kkt_residual=float("inf"),
-                iterations=0,
-                success=False,
-                message="no strictly feasible point found",
-            )
-    x = x0
+    barrier = _Barrier(problem)
+    c = barrier.c
+    x = np.asarray(x0, dtype=float)
+    vals = barrier.derivatives(x)[0]
+    if not vals.max() < -1e-12:
+        return SolverReport(
+            x=x,
+            objective=float(c @ x),
+            max_violation=float(vals.max()),
+            kkt_residual=float("inf"),
+            iterations=0,
+            success=False,
+            message="start is not strictly feasible",
+        )
     # duality-gap target frozen at the starting objective scale; tying it to
     # the current iterate would let a wild |f| value self-certify
-    gap_target = tol * max(1.0, abs(float(c @ x0)))
-    t_bar = max(1.0, cons.m)
+    gap_target = tol * max(1.0, abs(float(c @ x)))
+    t_bar = max(1.0, barrier.m)
     total_newton = 0
     unfinished = "stage cap reached"
     for stage in range(max_stages):
         if stage:
             t_bar *= 20.0
         f_before = float(c @ x)
-        x, its, reason = _newton_barrier(cons, c, x, t_bar, 60)
+        x, its, reason = _newton_barrier(barrier, x, t_bar, 60)
         total_newton += its
-        if cons.m / t_bar < gap_target:
+        if barrier.m / t_bar < gap_target:
             unfinished = ""
             break
         if reason in ("stall", "cap") and abs(float(c @ x) - f_before) <= 1e-12 * max(
@@ -533,19 +342,17 @@ def solve_convex_qcqp(
             break
     message = ""
     if unfinished:
-        message = f"gap bound {cons.m / t_bar:.3g} above target {gap_target:.3g}: {unfinished}"
+        message = f"gap bound {barrier.m / t_bar:.3g} above target {gap_target:.3g}: {unfinished}"
     # duals at the last weight that was centred
-    vals, gd, gs = cons.derivatives(x[cons.perm])
-    inv = 1.0 / vals
-    grad_sum = cons.grad_sum(inv, gd, gs * inv[cons.n_dense :, None])
-    kkt = float(np.abs(c[cons.perm] - grad_sum / t_bar).max())
+    vals, gd, ge = barrier.derivatives(x)
+    kkt = float(np.abs(c - barrier.grad_sum(1.0 / vals, gd, ge) / t_bar).max())
     return SolverReport(
         x=x,
         objective=float(c @ x),
-        max_violation=float(vals.max()) if vals.size else 0.0,
+        max_violation=float(vals.max()),
         kkt_residual=kkt,
         iterations=total_newton,
-        success=bool(vals.max() < tol if vals.size else True),
+        success=bool(vals.max() < tol),
         message=message,
     )
 

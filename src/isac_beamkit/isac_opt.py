@@ -42,7 +42,6 @@ import numpy as np
 
 from .cvxkit import (
     ConvexQcqp,
-    QuadConstraint,
     RateInfeasibleError,
     TraceMaxResult,
     rate_constrained_trace_max_multi,
@@ -125,66 +124,6 @@ def _unvec(v: np.ndarray, n_tx: int, n_rf: int) -> np.ndarray:
     return np.reshape(v, (n_tx, n_rf), order="F")
 
 
-def _sca_subproblem(
-    ups1_l: np.ndarray,
-    ups2_l: np.ndarray,
-    rate_quad_l: np.ndarray,
-    rate_lin: np.ndarray,
-    rate_offset: float,
-    power: float,
-    eps: float,
-    x_bar: np.ndarray,
-) -> ConvexQcqp:
-    """Assemble the convex slack-penalized subproblem around x_bar.
-
-    The epigraph pair (objective variable, its slack) is eliminated exactly:
-    for penalty weight > 1 the slack sits at zero and the epigraph variable
-    at its bound, so the objective is the linearized sensing gain minus the
-    modulus-slack penalties. Remaining variables: z = [x (2D), p (D), w (D)].
-    """
-    two_d = ups1_l.shape[0]
-    d = two_d // 2
-    n = two_d + 2 * d
-    i_p, i_w = two_d, two_d + d
-
-    def pad_quad(q):
-        out = np.zeros((n, n))
-        out[:two_d, :two_d] = q
-        return out
-
-    cons = []
-    # power: x^T U2 x - P <= 0 (scaled by 1/P)
-    cons.append(QuadConstraint(pad_quad(ups2_l / power), np.zeros(n), -1.0))
-    if rate_quad_l is not None:
-        # rate surrogate: x^T Kb x + rate_lin^T x + rate_offset <= 0
-        s_rate = 1.0 / max(1.0, np.abs(rate_quad_l).max(), np.abs(rate_lin).max(), abs(rate_offset))
-        a = np.zeros(n)
-        a[:two_d] = rate_lin * s_rate
-        cons.append(QuadConstraint(pad_quad(rate_quad_l * s_rate), a, rate_offset * s_rate))
-    # unit-modulus split: |v_m|^2 <= 1 + p_m and linearized >= 1 - w_m
-    for m in range(d):
-        q = np.zeros(n)
-        q[m] = q[d + m] = 1.0
-        a = np.zeros(n)
-        a[i_p + m] = -1.0
-        cons.append(QuadConstraint(q, a, -1.0))
-        a = np.zeros(n)
-        a[m] = -2.0 * x_bar[m]
-        a[d + m] = -2.0 * x_bar[d + m]
-        a[i_w + m] = -1.0
-        cons.append(QuadConstraint(None, a, 1.0 + x_bar[m] ** 2 + x_bar[d + m] ** 2))
-
-    # maximize 2 g^T x - eps*(sum p + sum w)  (g = linearization of the
-    # sensing quadratic at x_bar; constant dropped)
-    g = ups1_l @ x_bar
-    c = np.zeros(n)
-    c[:two_d] = -2.0 * g
-    c[i_p:] = eps
-    nonneg = np.zeros(n, dtype=bool)
-    nonneg[i_p:] = True
-    return ConvexQcqp(c, cons, nonneg)
-
-
 def _run_fpp_sca(
     ups1: np.ndarray,
     ups2: np.ndarray,
@@ -207,62 +146,51 @@ def _run_fpp_sca(
     so the epigraph variable is O(1).
     """
     d = v_init.size
+    two_d = 2 * d
     s1 = 1.0 / max(1.0, float(np.linalg.norm(ups1)))
     ups1_l = _lift_hermitian(ups1) * s1
-    ups2_l = _lift_hermitian(ups2)
-    # a non-positive target makes the true rate constraint vacuous; the
-    # surrogate row must then be dropped entirely (it only lower-bounds the
-    # rate, so keeping it would shrink the search region around v_init)
+    # dense rows on x: power x^T U2 x / P - 1 <= 0 and, with a rate floor,
+    # the rate surrogate x^T Kb x + lin^T x + offset <= 0 scaled to O(1)
+    # coefficients. A non-positive target makes the true rate constraint
+    # vacuous; the surrogate row must then be dropped entirely (it only
+    # lower-bounds the rate, so keeping it would shrink the search region
+    # around v_init). The rows do not move across SCA iterations.
+    quad, lin, offset = [_lift_hermitian(ups2) / power], [np.zeros(two_d)], [-1.0]
     rate_active = rate_target > 0.0
     if rate_active:
         rate_quad_l = _lift_hermitian(rate_quad)
         rate_lin = -2.0 * np.concatenate([c_vec.real, -c_vec.imag])
         rate_offset = rate_target - eta_bar
-        rate_scale = max(1.0, np.abs(rate_quad_l).max(), np.abs(rate_lin).max(), abs(rate_offset))
-    else:
-        rate_quad_l, rate_lin, rate_offset, rate_scale = None, None, 0.0, 1.0
+        s_rate = 1.0 / max(1.0, np.abs(rate_quad_l).max(), np.abs(rate_lin).max(), abs(rate_offset))
+        quad.append(rate_quad_l * s_rate)
+        lin.append(rate_lin * s_rate)
+        offset.append(rate_offset * s_rate)
+    quad, lin, offset = np.array(quad), np.array(lin), np.array(offset)
 
-    def power_val(x):
-        return float(x @ (ups2_l @ x)) / power - 1.0
-
-    def rate_val(x):
-        if not rate_active:
-            return -1.0
-        return float(x @ (rate_quad_l @ x) + rate_lin @ x + rate_offset)
+    def row_vals(x):
+        return (quad.reshape(-1, two_d) @ x).reshape(-1, two_d) @ x + lin @ x + offset
 
     def strictly_ok(x):
-        return power_val(x) < -1e-11 and rate_val(x) < -1e-11 * rate_scale
+        return row_vals(x).max() < -1e-11
 
     def feasibility_anchor(x_bar):
-        """A point strictly inside the power/rate rows (they do not move
-        across SCA iterations, so one anchor serves the whole run)."""
+        """A point strictly inside the dense rows: minimize s subject to
+        every row <= s on [x, s], with a ball that keeps x bounded. One
+        anchor serves the whole run."""
         if not rate_active:
-            return np.zeros(2 * d)
-        two_d = 2 * d
-        n = two_d + 1
-        cons = []
-        q = np.zeros((n, n))
-        q[:two_d, :two_d] = ups2_l / power
-        a = np.zeros(n)
-        a[-1] = -1.0
-        cons.append(QuadConstraint(q, a, -1.0))
-        q = np.zeros((n, n))
-        q[:two_d, :two_d] = rate_quad_l / rate_scale
-        a = np.zeros(n)
-        a[:two_d] = rate_lin / rate_scale
-        a[-1] = -1.0
-        cons.append(QuadConstraint(q, a, rate_offset / rate_scale))
-        q = np.zeros(n)
-        q[:two_d] = 1.0
-        a = np.zeros(n)
-        a[-1] = -1.0
-        cons.append(QuadConstraint(q, a, -4.0 * two_d))
-        c = np.zeros(n)
+            return np.zeros(two_d)
+        q = np.zeros((3, two_d + 1, two_d + 1))
+        q[:2, :two_d, :two_d] = quad
+        q[2, np.arange(two_d), np.arange(two_d)] = 1.0
+        a = np.zeros((3, two_d + 1))
+        a[:2, :two_d] = lin
+        a[:, -1] = -1.0
+        c = np.zeros(two_d + 1)
         c[-1] = 1.0
         x0 = 0.999 * x_bar
-        s0 = max(power_val(x0), rate_val(x0) / rate_scale, 0.0) + 1.0
-        rep = solve_convex_qcqp(ConvexQcqp(c, cons), tol=1e-10, x0=np.append(x0, s0))
-        cand = rep.x[:two_d]
+        s0 = max(row_vals(x0).max(), 0.0) + 1.0
+        problem = ConvexQcqp(c, q, a, np.append(offset, -4.0 * two_d))
+        cand = solve_convex_qcqp(problem, np.append(x0, s0), tol=1e-10).x[:two_d]
         return cand if strictly_ok(cand) else None
 
     def interior_near(x, anchor):
@@ -277,16 +205,13 @@ def _run_fpp_sca(
         return None
 
     def complete_start(x, x_bar):
-        """Attach modulus slacks with an interior margin."""
-        two_d = 2 * d
-        z = np.zeros(two_d + 2 * d)
-        z[:two_d] = x
+        """Attach modulus and tangent slacks with an interior margin."""
         v_abs2 = x[:d] ** 2 + x[d:] ** 2
-        z[two_d : two_d + d] = np.maximum(0.0, v_abs2 - 1.0) + 0.25
         lin_part = 2.0 * (x_bar[:d] * x[:d] + x_bar[d:] * x[d:])
         bar_abs2 = x_bar[:d] ** 2 + x_bar[d:] ** 2
-        z[two_d + d :] = np.maximum(0.0, 1.0 + bar_abs2 - lin_part) + 0.25
-        return z
+        p = np.maximum(0.0, v_abs2 - 1.0) + 0.25
+        w = np.maximum(0.0, 1.0 + bar_abs2 - lin_part) + 0.25
+        return np.concatenate([x, p, w])
 
     x = np.concatenate([v_init.real, v_init.imag])
     state = FppScaState(v=v_init.copy(), eps=eps)
@@ -307,9 +232,6 @@ def _run_fpp_sca(
             # polish the tail at the requested weight so the slacks collapse
             # even when the iteration budget is short
             eps_work = eps_final
-        problem = _sca_subproblem(
-            ups1_l, ups2_l, rate_quad_l, rate_lin, rate_offset, power, eps_work, x
-        )
         if anchor is None:
             anchor = feasibility_anchor(x)
             if anchor is None:
@@ -319,11 +241,16 @@ def _run_fpp_sca(
         if x_in is None:
             state.ok = False
             break
-        rep = solve_convex_qcqp(problem, tol=1e-10, x0=complete_start(x_in, x))
+        # maximize 2 g^T x - eps*(sum p + sum w), g = ups1_l x the
+        # linearization of the sensing quadratic (constant dropped). The
+        # objective's epigraph pair is eliminated exactly: for penalty
+        # weight > 1 its slack sits at zero and the epigraph variable at its
+        # bound
+        problem = ConvexQcqp(-2.0 * (ups1_l @ x), quad, lin, offset, x_bar=x, eps=eps_work)
+        rep = solve_convex_qcqp(problem, complete_start(x_in, x), tol=1e-10)
         if not rep.success:
             state.ok = False
             break
-        two_d = 2 * d
         x = rep.x[:two_d]
         slack = float(rep.x[two_d:].sum())
         obj = float(x @ (ups1_l @ x)) / s1

@@ -253,6 +253,27 @@ class TestExecute:
         text = outs[0].decode()
         assert len(text.strip().splitlines()) == 1 + 3 * 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("power_dbm", "20,abc"),
+            ("power_dbm", "nan"),
+            ("rate_target_bits", "1,inf"),
+            ("n_rf_tx", "2.7"),
+        ],
+    )
+    def test_bad_sweep_values_exit_two(self, tmp_path, capsys, args):
+        from isac_beamkit.cli import main
+
+        var, values = args
+        sc_path = self._write(tmp_path, small_doc())
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", sc_path, "--out", str(out), "--var", var, "--values", values,
+                "--schemes", "fully_digital", "--budget", "8"]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_pattern_command(self, tmp_path):
         sc_path = self._write(tmp_path, small_doc())
         out = tmp_path / "pattern.csv"

@@ -6,9 +6,8 @@ import pytest
 from isac_beamkit import cvxkit
 from isac_beamkit.cvxkit import (
     ConvexQcqp,
-    _Constraints,
+    _Barrier,
     _newton_barrier,
-    QuadConstraint,
     RateInfeasibleError,
     SolverError,
     _exact_rate,
@@ -23,83 +22,66 @@ from isac_beamkit.cvxkit import (
 from conftest import random_psd
 
 
-def _mixed_rows(rng):
-    """Dense, diagonal-vector, sparse-matrix, linear and sign rows; the dense
-    rows touch every coordinate, so nothing is eliminated."""
-    n = 9
-    x = 0.05 * rng.standard_normal(n)
-    cons = []
-    b = rng.standard_normal((n, n))
-    cons.append(QuadConstraint(b @ b.T, rng.standard_normal(n), -4.0))
-    for i in range(3):
-        q = np.zeros(n)
-        q[i] = q[i + 3] = 1.0
-        a = np.zeros(n)
-        a[6] = -1.0
-        cons.append(QuadConstraint(q, a, -1.0))
-        a = np.zeros(n)
-        a[[i, i + 3, 7]] = (0.4, -0.3, -1.0)
-        cons.append(QuadConstraint(None, a, -1.0))
-    q = np.zeros((n, n))
-    q[1, 1], q[1, 2], q[2, 1], q[2, 2] = 2.0, 0.5, 0.5, 1.0
-    cons.append(QuadConstraint(q, np.zeros(n), -3.0))
-    cons.append(QuadConstraint(None, rng.standard_normal(n), -2.0))
-    nonneg = np.zeros(n, dtype=bool)
-    nonneg[6:] = True
-    x[6:] = 0.5
-    return ConvexQcqp(np.ones(n), cons, nonneg), x, []
+def _dense_problem(c, rows, **entries):
+    """ConvexQcqp with dense rows (Q, a, b): x^T Q x + a^T x + b <= 0, Q None
+    for a linear row."""
+    n = c.size
+    quad = np.array([np.zeros((n, n)) if q is None else q for q, _, _ in rows])
+    lin = np.array([a for _, a, _ in rows], dtype=float)
+    return ConvexQcqp(c, quad, lin, np.array([b for _, _, b in rows], dtype=float), **entries)
 
 
-def _shared_slack_rows(rng):
-    """FPP-SCA shape: dense rows on x = 0..9 only. The modulus slack 10 and
-    the tangent slack 11 are eliminated (10 also through a sparse matrix row
-    that couples it with x_3); one sparse row touches both 12 and 13, so
-    neither of those is."""
-    n, n_x = 14, 10
-    x = 0.05 * rng.standard_normal(n)
-    x[n_x:] = 0.5
-    cons = []
+def _fpp_sca_rows(rng):
+    """FPP-SCA shape: power and rate rows on x (d = 5 entries), a centre, and
+    a strictly feasible z = [x, p, w]. Returns the problem, z and the rows
+    written out over z as (Q, a, b) in the solver's order."""
+    d = 5
+    n_x = 2 * d
+    rows = []
     for scale in (1.0, 0.3):
         b = rng.standard_normal((n_x, n_x))
+        rows.append((scale * b @ b.T, rng.standard_normal(n_x), -4.0))
+    x_bar = rng.standard_normal(n_x)
+    problem = _dense_problem(rng.standard_normal(n_x), rows, x_bar=x_bar, eps=3.0)
+    x = 0.05 * rng.standard_normal(n_x)
+    v_abs2 = x[:d] ** 2 + x[d:] ** 2
+    lin_part = 2.0 * (x_bar[:d] * x[:d] + x_bar[d:] * x[d:])
+    bar_abs2 = x_bar[:d] ** 2 + x_bar[d:] ** 2
+    p = np.maximum(v_abs2 - 1.0, 0.0) + 0.5
+    w = np.maximum(1.0 + bar_abs2 - lin_part, 0.0) + 0.5
+    z = np.concatenate([x, p, w])
+
+    n = 2 * n_x
+    full = [(np.pad(q, (0, n_x)), np.append(a, np.zeros(n_x)), b) for q, a, b in rows]
+    for m in range(d):
         q = np.zeros((n, n))
-        q[:n_x, :n_x] = scale * b @ b.T
+        q[m, m] = q[d + m, d + m] = 1.0
         a = np.zeros(n)
-        a[:n_x] = rng.standard_normal(n_x)
-        cons.append(QuadConstraint(q, a, -4.0))
-    for i in range(3):
-        q = np.zeros(n)
-        q[i] = q[i + 5] = 1.0
+        a[n_x + m] = -1.0
+        full.append((q, a, -1.0))
+    for m in range(d):
         a = np.zeros(n)
-        a[10] = -1.0
-        cons.append(QuadConstraint(q, a, -1.0))
+        a[[m, d + m, n_x + d + m]] = (-2.0 * x_bar[m], -2.0 * x_bar[d + m], -1.0)
+        full.append((np.zeros((n, n)), a, 1.0 + bar_abs2[m]))
+    for j in range(n_x):
         a = np.zeros(n)
-        a[[i, i + 5, 11]] = (0.4, -0.3, -1.0)
-        cons.append(QuadConstraint(None, a, -1.0))
-    q = np.zeros((n, n))
-    q[3, 3], q[3, 10], q[10, 3], q[10, 10] = 2.0, 0.5, 0.5, 1.0
-    cons.append(QuadConstraint(q, np.zeros(n), -3.0))
-    a = np.zeros(n)
-    a[[0, 12, 13]] = (0.3, -1.0, -1.0)
-    cons.append(QuadConstraint(None, a, -1.0))
-    nonneg = np.zeros(n, dtype=bool)
-    nonneg[n_x:] = True
-    return ConvexQcqp(np.ones(n), cons, nonneg), x, [10, 11]
+        a[n_x + j] = -1.0
+        full.append((np.zeros((n, n)), a, 0.0))
+    return problem, z, full
 
 
 def _anchor_rows(rng):
-    """Feasibility-anchor shape: power, rate and ball rows, all dense and all
-    touching the shared slack, so nothing is eliminated."""
+    """Feasibility-anchor shape: power, rate and ball rows on [x, s], every
+    row minus the shared s; nothing is eliminated."""
     n_x = 10
     n = n_x + 1
-    x = np.append(0.05 * rng.standard_normal(n_x), 0.5)
-    cons = []
+    rows = []
     for lin in (np.zeros(n_x), rng.standard_normal(n_x)):
         b = rng.standard_normal((n_x, n_x))
-        q = np.zeros((n, n))
-        q[:n_x, :n_x] = b @ b.T
-        cons.append(QuadConstraint(q, np.append(lin, -1.0), -1.0))
-    cons.append(QuadConstraint(np.append(np.ones(n_x), 0.0), np.append(np.zeros(n_x), -1.0), -4.0 * n_x))
-    return ConvexQcqp(np.append(np.zeros(n_x), 1.0), cons), x, []
+        rows.append((np.pad(b @ b.T, (0, 1)), np.append(lin, -1.0), -1.0))
+    rows.append((np.diag(np.append(np.ones(n_x), 0.0)), np.append(np.zeros(n_x), -1.0), -4.0 * n_x))
+    z = np.append(0.05 * rng.standard_normal(n_x), 0.5)
+    return _dense_problem(np.append(np.zeros(n_x), 1.0), rows), z, rows
 
 
 class TestTopGeneralizedEig:
@@ -132,28 +114,25 @@ class TestTopGeneralizedEig:
 
 class TestSolveConvexQcqp:
     def test_linear_bound(self):
-        p = ConvexQcqp(np.array([-1.0]), [QuadConstraint(None, np.array([1.0]), -5.0)])
-        rep = solve_convex_qcqp(p)
+        p = _dense_problem(np.array([-1.0]), [(None, np.array([1.0]), -5.0)])
+        rep = solve_convex_qcqp(p, np.zeros(1))
         assert rep.success
         assert rep.x[0] == pytest.approx(5.0, abs=1e-6)
         assert rep.max_violation <= 1e-8
 
     def test_disk_support(self):
-        p = ConvexQcqp(
-            np.array([-1.0, 0.0]),
-            [QuadConstraint(np.eye(2), np.zeros(2), -1.0)],
-        )
-        rep = solve_convex_qcqp(p)
+        p = _dense_problem(np.array([-1.0, 0.0]), [(np.eye(2), np.zeros(2), -1.0)])
+        rep = solve_convex_qcqp(p, np.zeros(2))
         np.testing.assert_allclose(rep.x, [1.0, 0.0], atol=1e-6)
         assert rep.kkt_residual < 1e-5
 
     def test_row_scaling_invariance(self, rng):
         a = random_psd(rng, 3).real + np.eye(3)
         c = rng.standard_normal(3)
-        cons = [QuadConstraint(a, np.zeros(3), -2.0), QuadConstraint(None, np.ones(3), -1.0)]
-        rep1 = solve_convex_qcqp(ConvexQcqp(c, cons))
-        scaled = [QuadConstraint(50 * a, np.zeros(3), -100.0), QuadConstraint(None, 7 * np.ones(3), -7.0)]
-        rep2 = solve_convex_qcqp(ConvexQcqp(c, scaled))
+        rows = [(a, np.zeros(3), -2.0), (None, np.ones(3), -1.0)]
+        rep1 = solve_convex_qcqp(_dense_problem(c, rows), np.zeros(3))
+        scaled = [(50 * a, np.zeros(3), -100.0), (None, 7 * np.ones(3), -7.0)]
+        rep2 = solve_convex_qcqp(_dense_problem(c, scaled), np.zeros(3))
         assert rep1.objective == pytest.approx(rep2.objective, abs=1e-6)
 
     def test_matches_projected_subgradient_oracle(self, rng):
@@ -162,11 +141,8 @@ class TestSolveConvexQcqp:
         a = random_psd(rng, n).real + np.eye(n)
         c = rng.standard_normal(n)
         lin = rng.standard_normal(n)
-        cons = [
-            QuadConstraint(a, np.zeros(n), -4.0),
-            QuadConstraint(None, lin, -1.0),
-        ]
-        rep = solve_convex_qcqp(ConvexQcqp(c, cons), tol=1e-10)
+        rows = [(a, np.zeros(n), -4.0), (None, lin, -1.0)]
+        rep = solve_convex_qcqp(_dense_problem(c, rows), np.zeros(n), tol=1e-10)
 
         # independent first-order oracle: subgradient descent on the
         # exact-penalty function with diminishing steps; the best feasible
@@ -194,101 +170,80 @@ class TestSolveConvexQcqp:
         # values, gradients, the eliminated Newton system, the Newton step
         # and the ray coefficients of the structured rows against the
         # textbook dense barrier formulas
-        for case in (_mixed_rows, _shared_slack_rows, _anchor_rows):
+        for case in (_fpp_sca_rows, _anchor_rows):
             self._check_against_dense_barrier(rng, *case(rng))
 
     @staticmethod
-    def _check_against_dense_barrier(rng, problem, x, eliminated):
+    def _check_against_dense_barrier(rng, problem, z, rows):
         n = problem.dim
-        dx = rng.standard_normal(n)
-        rows = list(problem.constraints)
-        for i in np.flatnonzero(problem.nonneg if problem.nonneg is not None else []):
-            a = np.zeros(n)
-            a[i] = -1.0
-            rows.append(QuadConstraint(None, a, 0.0))
-        full_q = [
-            np.zeros((n, n)) if r.quad is None
-            else np.diag(r.quad) if r.quad.ndim == 1 else r.quad
-            for r in rows
-        ]
-        vals = np.array([x @ q @ x + r.lin @ x + r.offset for q, r in zip(full_q, rows)])
+        dz = rng.standard_normal(n)
+        vals = np.array([z @ q @ z + a @ z + b for q, a, b in rows])
         assert vals.max() < 0
-        grads = np.array([2 * q @ x + r.lin for q, r in zip(full_q, rows)])
-        hess = sum(
-            np.outer(g, g) / v**2 - 2 * q / v for q, g, v in zip(full_q, grads, vals)
-        )
-        curv = np.array([dx @ q @ dx for q in full_q])
-        c = rng.standard_normal(n)
+        grads = np.array([2 * q @ z + a for q, a, _ in rows])
+        hess = sum(np.outer(g, g) / v**2 - 2 * q / v for (q, _, _), g, v in zip(rows, grads, vals))
+        curv = np.array([dz @ q @ dz for q, _, _ in rows])
+        c = np.append(problem.objective, np.full(n - problem.objective.size, problem.eps))
         g_bar = 3.0 * c - grads.T @ (1.0 / vals)
         step = np.linalg.solve(hess, -g_bar)
 
-        cons = _Constraints(problem)
-        perm, order, nk = cons.perm, cons.order, cons.n_keep
-        assert sorted(perm[nk:]) == eliminated
-        v_s, gd, gs = cons.derivatives(x[perm])
-        nd = cons.n_dense
-        inv = 1.0 / v_s
-        gi = gs * inv[nd:, None]
-        np.testing.assert_allclose(v_s, vals[order], rtol=1e-13, atol=1e-13)
+        barrier = _Barrier(problem)
+        assert barrier.m == len(rows)
+        np.testing.assert_array_equal(barrier.c, c)
+        v_s, gd, ge = barrier.derivatives(z)
+        np.testing.assert_allclose(v_s, vals, rtol=1e-13, atol=1e-13)
         # per-row gradients, read off the ray slopes along each axis
-        g_s = np.array([cons.ray_coefficients(e, gd, gs)[0] for e in np.eye(n)]).T
-        np.testing.assert_allclose(g_s, grads[order][:, perm], rtol=1e-13, atol=1e-13)
-        w = rng.standard_normal(vals.size)[order]
-        np.testing.assert_allclose(
-            cons.grad_sum(w, gd, gs * w[nd:, None]), grads[order].T[perm] @ w,
-            rtol=1e-12, atol=1e-12,
-        )
-        # eliminated form: a diagonal eliminated block and the Schur
-        # complement over the kept coordinates
-        h_p = hess[np.ix_(perm, perm)]
-        h_s, diag, _ = cons.reduced_system(inv, gd, gi)
-        h_ee = h_p[nk:, nk:]
-        np.testing.assert_array_equal(h_ee - np.diag(np.diag(h_ee)), 0.0)
-        np.testing.assert_allclose(diag, np.diag(h_ee), rtol=1e-12)
-        schur = h_p[:nk, :nk] - h_p[:nk, nk:] @ np.diag(1.0 / np.diag(h_ee)) @ h_p[nk:, :nk]
+        g_s = np.array([barrier.ray_coefficients(e, gd, ge)[0] for e in np.eye(n)]).T
+        np.testing.assert_allclose(g_s, grads, rtol=1e-13, atol=1e-13)
+        w = rng.standard_normal(vals.size)
+        np.testing.assert_allclose(barrier.grad_sum(w, gd, ge), grads.T @ w, rtol=1e-12, atol=1e-12)
+        # eliminated form: the slack block is diagonal, and the Schur
+        # complement over x is what the Cholesky sees
+        n_x = problem.objective.size if problem.x_bar is not None else n
+        h_ss = hess[n_x:, n_x:]
+        np.testing.assert_array_equal(h_ss - np.diag(np.diag(h_ss)), 0.0)
+        schur = hess[:n_x, :n_x] - hess[:n_x, n_x:] @ np.diag(1.0 / np.diag(h_ss)) @ hess[n_x:, :n_x]
+        h_s = barrier.reduced_system(v_s, gd, ge)[0]
         np.testing.assert_allclose(h_s, schur, rtol=1e-12, atol=1e-12 * np.abs(schur).max())
-        dx_s = cons.newton_step(inv, gd, gi, g_bar[perm])
-        assert np.abs(dx_s - step[perm]).max() <= 1e-10 * np.abs(step).max()
-        v1, v2 = cons.ray_coefficients(dx[perm], gd, gs)
-        np.testing.assert_allclose(v1, (grads @ dx)[order], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(v2, curv[order], rtol=1e-12, atol=1e-12)
+        dz_s = barrier.newton_step(v_s, gd, ge, g_bar)
+        assert np.abs(dz_s - step).max() <= 1e-10 * np.abs(step).max()
+        v1, v2 = barrier.ray_coefficients(dz, gd, ge)
+        np.testing.assert_allclose(v1, grads @ dz, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(v2, curv, rtol=1e-12, atol=1e-12)
 
     def test_singular_hessian_falls_back_to_regularized_step(self):
         # coordinate 2 is touched by no row and ignored by the objective, so
         # the barrier Hessian is singular in it
-        cons = _Constraints(ConvexQcqp(np.array([1.0, -1.0, 0.0]), [
-            QuadConstraint(np.array([1.0, 1.0, 0.0]), np.zeros(3), -1.0),
-            QuadConstraint(None, np.array([1.0, -0.5, 0.0]), -0.5),
-        ]))
         c = np.array([1.0, -1.0, 0.0])
+        barrier = _Barrier(_dense_problem(c, [
+            (np.diag([1.0, 1.0, 0.0]), np.zeros(3), -1.0),
+            (None, np.array([1.0, -0.5, 0.0]), -0.5),
+        ]))
         x0 = np.array([0.1, 0.2, 3.0])
-        vals, gd, gs = cons.derivatives(x0[cons.perm])
-        inv = 1.0 / vals
-        gi = gs * inv[cons.n_dense :, None]
-        g = 10.0 * c[cons.perm] - cons.grad_sum(inv, gd, gi)
-        dx = cons.newton_step(inv, gd, gi, g)
+        vals, gd, ge = barrier.derivatives(x0)
+        g = 10.0 * c - barrier.grad_sum(1.0 / vals, gd, ge)
+        dx = barrier.newton_step(vals, gd, ge, g)
         assert np.all(np.isfinite(dx))
-        assert dx[cons.inv[2]] == 0.0
-        x, its, reason = _newton_barrier(cons, c, x0, 10.0, 60)
+        assert dx[2] == 0.0
+        x, its, reason = _newton_barrier(barrier, x0, 10.0, 60)
         assert reason == "conv" and its > 0
         assert np.all(np.isfinite(x)) and x[2] == 3.0
-        assert cons.values(x).max() < 0
+        assert barrier.derivatives(x)[0].max() < 0
 
     def test_kkt_residual_at_last_centred_weight(self, rng):
         # a stage cap must not report the duals of a barrier weight that was
         # never centred
         n = 6
         a = random_psd(rng, n).real + np.eye(n)
-        problem = ConvexQcqp(rng.standard_normal(n), [
-            QuadConstraint(a, np.zeros(n), -4.0),
-            QuadConstraint(None, rng.standard_normal(n), -1.0),
+        problem = _dense_problem(rng.standard_normal(n), [
+            (a, np.zeros(n), -4.0),
+            (None, rng.standard_normal(n), -1.0),
         ])
         for stages in (1, 2, 3):
-            rep = solve_convex_qcqp(problem, tol=1e-10, max_stages=stages)
+            rep = solve_convex_qcqp(problem, np.zeros(n), tol=1e-10, max_stages=stages)
             assert rep.success
             assert rep.kkt_residual < 1e-6
             assert "gap" in rep.message
-        assert solve_convex_qcqp(problem, tol=1e-10).message == ""
+        assert solve_convex_qcqp(problem, np.zeros(n), tol=1e-10).message == ""
 
     def test_centring_stops_at_decrement_floor(self, rng):
         # at large barrier weights the decrement bottoms out at rounding
@@ -296,28 +251,36 @@ class TestSolveConvexQcqp:
         n = 12
         b = rng.standard_normal((n, n))
         c = rng.standard_normal(n)
-        cons = _Constraints(ConvexQcqp(c, [
-            QuadConstraint(b @ b.T + np.eye(n), np.zeros(n), -1.0),
-            QuadConstraint(None, rng.standard_normal(n), -1.0),
+        barrier = _Barrier(_dense_problem(c, [
+            (b @ b.T + np.eye(n), np.zeros(n), -1.0),
+            (None, rng.standard_normal(n), -1.0),
         ]))
         x, t_bar, f_prev = np.zeros(n), 1.0, np.inf
         for _ in range(12):
-            x, its, reason = _newton_barrier(cons, c, x, t_bar, 60)
+            x, its, reason = _newton_barrier(barrier, x, t_bar, 60)
             assert reason == "conv" and its < 20
-            assert cons.values(x).max() < 0
+            assert barrier.derivatives(x)[0].max() < 0
             # the objective decreases along the central path
             f = float(c @ x)
             assert f <= f_prev + 1e-12 * max(1.0, abs(f))
             f_prev = f
             t_bar *= 20.0
 
-    def test_infeasible_flagged(self):
-        cons = [
-            QuadConstraint(None, np.array([1.0]), -1.0),   # x <= 1
-            QuadConstraint(None, np.array([-1.0]), 2.0),   # x >= 2
-        ]
-        rep = solve_convex_qcqp(ConvexQcqp(np.array([1.0]), cons))
-        assert not rep.success
+    def test_start_not_strictly_feasible_refused(self, rng):
+        # a start on or outside the boundary is refused without a Newton
+        # step; there is no phase I
+        p = _dense_problem(np.array([1.0]), [(None, np.array([1.0]), -1.0)])   # x <= 1
+        for x0 in (2.0, 1.0, np.nan):
+            rep = solve_convex_qcqp(p, np.array([x0]))
+            assert not rep.success
+            assert rep.iterations == 0
+            assert "not strictly feasible" in rep.message
+        # an FPP-SCA start whose modulus slack is negative
+        problem, z, _ = _fpp_sca_rows(rng)
+        z[problem.objective.size] = -0.1
+        rep = solve_convex_qcqp(problem, z)
+        assert not rep.success and rep.iterations == 0
+        np.testing.assert_array_equal(rep.x, z)
 
 
 class TestWaterfill:
