@@ -266,6 +266,10 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.variable == "n_rf_tx" and self.rf_budget <= 0:
             raise ValueError("n_rf_tx sweep needs a positive rf_budget")
+        # each side needs at least one chain; a split the receiver cannot
+        # realize is still a valid value and gives an infeasible row
+        if self.variable == "n_rf_tx" and not all(1 <= v < self.rf_budget for v in self.values):
+            raise ValueError(f"n_rf_tx sweep values must lie in [1, {self.rf_budget - 1}]")
 
 
 @dataclass

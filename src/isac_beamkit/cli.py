@@ -490,6 +490,8 @@ def _cmd_optimize(cfg: RunConfig, scenario: Scenario) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, scenario: Scenario) -> int:
+    if not cfg.out_path:
+        raise ConfigError("sweep needs --out")
     if not cfg.sweep_var or not cfg.values:
         raise ConfigError("sweep needs --var and --values")
     schemes = tuple(Scheme.parse(s) for s in (cfg.schemes or ("proposed",)))
@@ -507,13 +509,13 @@ def _cmd_sweep(cfg: RunConfig, scenario: Scenario) -> int:
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     rows = sweep(spec)
-    if not cfg.out_path:
-        raise ConfigError("sweep needs --out")
     export(rows, cfg.out_path, cfg.out_format)
     return 0
 
 
 def _cmd_benchmark(cfg: RunConfig, scenario: Scenario) -> int:
+    if not cfg.out_path:
+        raise ConfigError("benchmark needs --out")
     schemes = cfg.schemes or (
         "fully_digital",
         "fd_receive",
@@ -527,13 +529,13 @@ def _cmd_benchmark(cfg: RunConfig, scenario: Scenario) -> int:
         scheme_row(Scheme.parse(label), scenario, "scheme", 0.0, 0, cfg.timings)
         for label in schemes
     ]
-    if not cfg.out_path:
-        raise ConfigError("benchmark needs --out")
     export(rows, cfg.out_path, cfg.out_format)
     return 0
 
 
 def _cmd_pattern(cfg: RunConfig, scenario: Scenario) -> int:
+    if not cfg.out_path:
+        raise ConfigError("pattern needs --out")
     if cfg.design_path:
         design = load_design(cfg.design_path)
     else:
@@ -541,8 +543,6 @@ def _cmd_pattern(cfg: RunConfig, scenario: Scenario) -> int:
         design = run_scheme(scheme, scenario).design
     thetas, power = power_pattern(scenario, design)
     mass = pattern_mass_near_prior(thetas, power, scenario.angle_prior)
-    if not cfg.out_path:
-        raise ConfigError("pattern needs --out")
     with open(cfg.out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["theta_rad", "power_w", "prior_pdf"])

@@ -3,13 +3,13 @@
 Three pieces, all deterministic and dependency-free beyond numpy/scipy:
 
   * a top generalized-eigenpair solver (the rank-1 sensing optimum);
-  * a log-barrier interior-point solver for the FPP-SCA subproblem of the
-    analog update: dense quadratic rows on x = [Re v; Im v] plus, per
-    analog entry, a modulus row and a tangent row, each with its own
-    nonnegative slack. Each Newton step solves for the slacks in closed
-    form, which adds one 2x2 block per entry to the Hessian over x, and the
-    Cholesky runs on x alone. Without the per-entry rows the same barrier
-    solves the dense rows only (the feasibility anchor);
+  * an infeasible-start primal-dual interior-point solver for the FPP-SCA
+    subproblem of the analog update: dense quadratic rows on
+    x = [Re v; Im v] plus, per analog entry, a modulus row and a tangent
+    row, each with its own nonnegative slack. Any start is valid. Each
+    Newton step solves for the entry slacks in closed form, which adds one
+    2x2 block per entry to the matrix over x, and the Cholesky runs on x
+    alone. Without the per-entry rows it solves the dense rows only;
   * the rate-constrained trace-maximization solver for the transmit digital
     covariance, via Lagrange duality with two scalar multipliers: at a
     power dual mu the Lagrangian's maximizer is a water-filling whose level
@@ -82,8 +82,13 @@ def top_generalized_eig(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# convex QCQP via log barrier
+# convex QCQP via an infeasible-start primal-dual interior-point method
 # ---------------------------------------------------------------------------
+
+_MAX_ITER = 100
+_SIGMA = 0.1            # fixed centring: each step aims at sigma times the current mu
+_TO_BOUNDARY = 0.99     # a step goes at most this fraction of the way to s = 0 or lambda = 0
+
 
 @dataclass
 class ConvexQcqp:
@@ -120,21 +125,22 @@ class SolverReport:
     message: str = ""
 
 
-class _Barrier:
-    """The rows of one ConvexQcqp and their log barrier, in its structure.
+class _Rows:
+    """The rows of one ConvexQcqp and their Newton system, in its structure.
 
     Dense rows keep 2 Q stacked by rows (2 Q x of every row in one BLAS
-    product) and flattened (sum_r w_r 2 Q_r in another). The per-entry rows
-    are stacked as k = 0 (modulus) and k = 1 (tangent) with slacks
-    s = [p; w] of shape (2, d): row (k, m) has gradient ge[k, :, m] on
-    (Re v_m, Im v_m) and -1 on s[k, m]. Row values are ordered dense rows,
-    modulus and tangent rows, sign bounds -s.
+    product) and flattened (sum_r lambda_r 2 Q_r in another). The per-entry
+    rows are stacked as k = 0 (modulus) and k = 1 (tangent) with entry
+    slacks y = [p; w] of shape (2, d): row (k, m) has gradient ge[k, :, m]
+    on (Re v_m, Im v_m) and -1 on y[k, m]. Row values are ordered dense
+    rows, modulus and tangent rows, sign bounds -y.
 
-    Block elimination (Boyd & Vandenberghe, App. C.4): a slack sits in its
-    row (value f) and its sign bound only, so its Hessian block is the
-    scalar 1/f^2 + 1/s^2 and it couples only to (Re v_m, Im v_m). Solving
-    for it in closed form leaves ge ge^T / (f^2 + s^2) on that 2x2 block,
-    and the Cholesky runs on the Hessian over x alone.
+    Block elimination (Boyd & Vandenberghe, App. C.4): in the Newton matrix
+    sum_i (lambda_i / s_i) g_i g_i^T + sum_i lambda_i 2 Q_i an entry slack
+    sits in its row (weight a) and its sign bound (weight b) only, so its
+    diagonal is a + b and it couples only to (Re v_m, Im v_m). Solving for
+    it in closed form leaves ge ge^T a b / (a + b) on that 2x2 block, and
+    the Cholesky runs on x alone.
     """
 
     def __init__(self, problem: ConvexQcqp):
@@ -157,8 +163,7 @@ class _Barrier:
         # row value = (ge * x).sum over (Re, Im) * scale + offset - slack
         self.scale_e = np.array([[0.5], [1.0]])
         self.off_e = np.stack([np.full(d, -1.0), 1.0 + (x_bar * x_bar).sum(axis=0)])
-        self.zeros_e = np.zeros(3 * d)
-        # flat positions in the n x n Hessian of the 2x2 blocks on (Re v_m, Im v_m)
+        # flat positions in the n x n matrix of the 2x2 blocks on (Re v_m, Im v_m)
         coord = np.arange(n).reshape(2, d)
         self.block_at = (coord[:, None, :] * n + coord[None, :, :]).ravel()
 
@@ -177,7 +182,7 @@ class _Barrier:
         return np.concatenate([vals, fe.ravel(), -z[self.n :]]), gd, ge
 
     def grad_sum(self, w: np.ndarray, gd: np.ndarray, ge) -> np.ndarray:
-        """sum_i w_i grad q_i over z."""
+        """sum_i w_i grad f_i over z."""
         gx = w[: self.r] @ gd
         if ge is None:
             return gx
@@ -186,48 +191,45 @@ class _Barrier:
         gx += (ge * we[:, None, :]).sum(axis=0).ravel()
         return np.concatenate([gx, -w[self.r : self.r + n] - w[self.r + n :]])
 
-    def reduced_system(self, vals: np.ndarray, gd: np.ndarray, ge):
-        """Barrier Hessian sum grad grad^T / q^2 - 2 Q / q with the slacks
-        eliminated: (h, the Schur complement over x, and per-entry (f^2,
-        s^2 / (f^2 + s^2)) for the slack solve, None without entries)."""
-        r, n = self.r, self.n
-        inv = 1.0 / vals[:r]
-        gdi = gd * inv[:, None]
-        h = gdi.T @ gdi - (inv @ self.quad2_flat).reshape(n, n)
-        if ge is None:
-            return h, None
-        f = vals[r : r + n].reshape(2, self.d)
-        f2, s2 = f * f, (vals[r + n :] ** 2).reshape(2, self.d)
-        wgt = 1.0 / (f2 + s2)
-        block = (ge[:, :, None, :] * (ge * wgt[:, None, :])[:, None, :, :]).sum(axis=0)
-        block[[0, 1], [0, 1]] -= 2.0 / f[0]     # the modulus row's curvature
-        h.reshape(-1)[self.block_at] += block.ravel()
-        return h, (f2, s2 * wgt)
-
-    def newton_step(self, vals: np.ndarray, gd: np.ndarray, ge, g: np.ndarray) -> np.ndarray:
-        """Solve (barrier Hessian) dz = -g, the slacks by block elimination."""
-        h, entry = self.reduced_system(vals, gd, ge)
-        if entry is None:
-            return _pd_solve(h, -g)
-        f2, rho = entry
-        n = self.n
-        g_s = g[n:].reshape(2, self.d)
-        dx = _pd_solve(h, -g[:n] - (ge * (rho * g_s)[:, None, :]).sum(axis=0).ravel())
-        ds = rho * ((ge * dx.reshape(2, self.d)).sum(axis=1) - f2 * g_s)
-        return np.concatenate([dx, ds.ravel()])
-
-    def ray_coefficients(self, dz: np.ndarray, gd: np.ndarray, ge):
-        """(v1, v2) with q_i(z + s*dz) = q_i(z) + s*v1_i + s^2*v2_i."""
+    def slopes(self, dz: np.ndarray, gd: np.ndarray, ge) -> np.ndarray:
+        """grad f_i^T dz for every row."""
         dx = dz[: self.n]
         v1 = gd @ dx
-        v2 = 0.5 * (self.quad2_rows @ dx).reshape(self.r, self.n) @ dx
         if ge is None:
-            return v1, v2
-        dxv, v1s = dx.reshape(2, self.d), -dz[self.n :]
-        return (
-            np.concatenate([v1, (ge * dxv).sum(axis=1).ravel() + v1s, v1s]),
-            np.concatenate([v2, (dxv * dxv).sum(axis=0), self.zeros_e]),
-        )
+            return v1
+        dy = -dz[self.n :]
+        return np.concatenate([v1, (ge * dx.reshape(2, self.d)).sum(axis=1).ravel() + dy, dy])
+
+    def reduced_system(self, wgt: np.ndarray, lam: np.ndarray, gd: np.ndarray, ge):
+        """Newton matrix sum_i wgt_i g_i g_i^T + sum_i lam_i 2 Q_i with the
+        entry slacks eliminated: (h, the Schur complement over x, and per
+        entry (a / (a + b), 1 / (a + b)) for the slack solve, None without
+        entries)."""
+        r, n = self.r, self.n
+        gdw = gd * np.sqrt(wgt[:r])[:, None]
+        h = gdw.T @ gdw + (lam[:r] @ self.quad2_flat).reshape(n, n)
+        if ge is None:
+            return h, None
+        a, b = wgt[r : r + n].reshape(2, self.d), wgt[r + n :].reshape(2, self.d)
+        inv = 1.0 / (a + b)
+        block = (ge[:, :, None, :] * (ge * (a * b * inv)[:, None, :])[:, None, :, :]).sum(axis=0)
+        block[[0, 1], [0, 1]] += 2.0 * lam[r : r + self.d]     # the modulus row's curvature
+        h.reshape(-1)[self.block_at] += block.ravel()
+        return h, (a * inv, inv)
+
+    def newton_step(
+        self, wgt: np.ndarray, lam: np.ndarray, gd: np.ndarray, ge, rhs: np.ndarray
+    ) -> np.ndarray:
+        """Solve (Newton matrix) dz = rhs, the entry slacks by block elimination."""
+        h, entry = self.reduced_system(wgt, lam, gd, ge)
+        if entry is None:
+            return _pd_solve(h, rhs)
+        rho, inv = entry
+        n = self.n
+        r_y = rhs[n:].reshape(2, self.d)
+        dx = _pd_solve(h, rhs[:n] + (ge * (rho * r_y)[:, None, :]).sum(axis=0).ravel())
+        dy = rho * (ge * dx.reshape(2, self.d)).sum(axis=1) + inv * r_y
+        return np.concatenate([dx, dy.ravel()])
 
 
 def _pd_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -243,115 +245,72 @@ def _pd_solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(h, rhs)
 
 
-def _newton_barrier(
-    barrier: _Barrier, z: np.ndarray, t_bar: float, max_iter: int
-) -> tuple[np.ndarray, int, str]:
-    """Damped Newton on t*c^T z - sum log(-q_i(z)); z must be strictly feasible.
+def _step_to_boundary(rel: np.ndarray) -> float:
+    """Step up to 1 along which every 1 + step * rel stays >= 1 - _TO_BOUNDARY."""
+    shrink = float(rel.min())
+    return 1.0 if shrink >= -_TO_BOUNDARY else -_TO_BOUNDARY / shrink
 
-    Returns (z, iterations, reason) with reason one of "conv" (decrement
-    small, or at its float64 floor), "cap" (iteration limit), "stall" (line
-    search cannot certify progress at this t in float64).
 
-    The decrement floor: the gradient t*c - sum grad_i/q_i cancels in
-    float64, leaving noise that grows with t, and the decrement cannot
-    fall below that noise. Inside the quadratic region (lambda < 0.1 after
-    a full step) self-concordance bounds the next decrement by
-    (lambda/(1-lambda))^2, about 1% of the current one, so a decrement
-    that does not decrease at all there is rounding noise and the point is
-    as centred as float64 allows.
+def solve_convex_qcqp(problem: ConvexQcqp, x0: np.ndarray, tol: float = 1e-8) -> SolverReport:
+    """Infeasible-start primal-dual interior-point solve of a ConvexQcqp.
+
+    Every row gets a slack s > 0 with f(z) + s = 0 and a dual lambda > 0
+    (Boyd & Vandenberghe, Convex Optimization, sec. 11.7), so any finite x0
+    of length dim is a valid start; the slacks start at max(-f(x0), 1) and
+    the duals at 1. Each iteration takes one Newton step on the dual,
+    primal and centring residuals (r_d, r_p, lambda s - sigma mu), with
+    mu = lambda^T s / m and s and lambda solved in closed form, so a step
+    costs one Cholesky. The primal step (z, s) and the dual step (lambda)
+    are each cut to 0.99 of the way to their boundary. It stops when
+    |r_p| <= tol, m mu <= tol max(1, |c^T x0|) and
+    |r_d| <= sqrt(tol) max(1, |c|) (max norms), or after _MAX_ITER steps.
+
+    `iterations` counts the steps, `kkt_residual` is |r_d| at the returned
+    point, and `message` is empty when the stop test held and says why not
+    otherwise; `success` only reports feasibility (every row below tol).
     """
-    c = barrier.c
-    t_c = t_bar * c
-    lam2_prev, full_step = math.inf, False
-    for it in range(max_iter):
-        vals, gd, ge = barrier.derivatives(z)
-        g = t_c - barrier.grad_sum(1.0 / vals, gd, ge)
-        dz = barrier.newton_step(vals, gd, ge, g)
-        lam2 = -float(g @ dz)
-        if lam2 / 2.0 <= 1e-11 or (full_step and lam2_prev < 1e-2 and lam2 >= lam2_prev):
-            return z, it, "conv"
-        # backtracking line search on the ray, with constraint values along
-        # the ray evaluated from their exact quadratic coefficients
-        v1, v2 = barrier.ray_coefficients(dz, gd, ge)
-        c_z = float(c @ z)
-        f0 = t_bar * c_z - np.log(-vals).sum()
-        c_dz = float(c @ dz)
-        for k in range(80):
-            step = 0.5**k
-            vn = vals + step * v1 + step * step * v2
-            if vn.max() < 0:
-                fn = t_bar * (c_z + step * c_dz) - np.log(-vn).sum()
-                if fn <= f0 - 0.25 * step * lam2:
-                    break
-        else:
-            return z, it, "stall"
-        z = z + step * dz
-        lam2_prev, full_step = lam2, step == 1.0
-    return z, max_iter, "cap"
-
-
-def solve_convex_qcqp(
-    problem: ConvexQcqp,
-    x0: np.ndarray,
-    tol: float = 1e-8,
-    max_stages: int = 60,
-) -> SolverReport:
-    """Log-barrier interior-point solve of a ConvexQcqp from x0 (length dim).
-
-    x0 must be strictly feasible; any other start is refused with
-    success=False and no iteration. The returned violation and KKT residual
-    are recomputed from the final iterate, the residual with the duals of
-    the last barrier weight that was centred. `message` is empty when the
-    duality-gap target was certified and says why not otherwise; `success`
-    only reports feasibility.
-    """
-    barrier = _Barrier(problem)
-    c = barrier.c
-    x = np.asarray(x0, dtype=float)
-    vals = barrier.derivatives(x)[0]
-    if not vals.max() < -1e-12:
-        return SolverReport(
-            x=x,
-            objective=float(c @ x),
-            max_violation=float(vals.max()),
-            kkt_residual=float("inf"),
-            iterations=0,
-            success=False,
-            message="start is not strictly feasible",
+    rows = _Rows(problem)
+    c = rows.c
+    z = np.asarray(x0, dtype=float)
+    if not np.isfinite(z).all():
+        nan = float("nan")
+        return SolverReport(z, nan, nan, float("inf"), 0, False, "start is not finite")
+    vals, gd, ge = rows.derivatives(z)
+    s = np.maximum(-vals, 1.0)
+    lam = np.ones(rows.m)
+    # both targets frozen at the starting scale; tying them to the current
+    # iterate would let a wild c^T z self-certify
+    gap_target = tol * max(1.0, abs(float(c @ z)))
+    dual_target = math.sqrt(tol) * max(1.0, float(np.abs(c).max()))
+    for it in range(_MAX_ITER + 1):
+        r_d = c + rows.grad_sum(lam, gd, ge)
+        r_p = vals + s
+        gap = float(lam @ s)
+        done = (
+            np.abs(r_p).max() <= tol and gap <= gap_target and np.abs(r_d).max() <= dual_target
         )
-    # duality-gap target frozen at the starting objective scale; tying it to
-    # the current iterate would let a wild |f| value self-certify
-    gap_target = tol * max(1.0, abs(float(c @ x)))
-    t_bar = max(1.0, barrier.m)
-    total_newton = 0
-    unfinished = "stage cap reached"
-    for stage in range(max_stages):
-        if stage:
-            t_bar *= 20.0
-        f_before = float(c @ x)
-        x, its, reason = _newton_barrier(barrier, x, t_bar, 60)
-        total_newton += its
-        if barrier.m / t_bar < gap_target:
-            unfinished = ""
+        if done or it == _MAX_ITER:
             break
-        if reason in ("stall", "cap") and abs(float(c @ x) - f_before) <= 1e-12 * max(
-            1.0, abs(f_before)
-        ):
-            # float64 cannot certify further progress at this barrier weight
-            unfinished = "float64 cannot certify further progress"
-            break
+        r_c = lam * s - _SIGMA * gap / rows.m
+        rhs = -r_d - rows.grad_sum((lam * r_p - r_c) / s, gd, ge)
+        dz = rows.newton_step(lam / s, lam, gd, ge, rhs)
+        ds = -r_p - rows.slopes(dz, gd, ge)
+        dlam = -(r_c + lam * ds) / s
+        step_p, step_d = _step_to_boundary(ds / s), _step_to_boundary(dlam / lam)
+        z, s, lam = z + step_p * dz, s + step_p * ds, lam + step_d * dlam
+        vals, gd, ge = rows.derivatives(z)
     message = ""
-    if unfinished:
-        message = f"gap bound {barrier.m / t_bar:.3g} above target {gap_target:.3g}: {unfinished}"
-    # duals at the last weight that was centred
-    vals, gd, ge = barrier.derivatives(x)
-    kkt = float(np.abs(c - barrier.grad_sum(1.0 / vals, gd, ge) / t_bar).max())
+    if not done:
+        message = (
+            f"iteration cap reached: primal residual {np.abs(r_p).max():.3g}, "
+            f"gap {gap:.3g} (target {gap_target:.3g}), dual residual {np.abs(r_d).max():.3g}"
+        )
     return SolverReport(
-        x=x,
-        objective=float(c @ x),
+        x=z,
+        objective=float(c @ z),
         max_violation=float(vals.max()),
-        kkt_residual=kkt,
-        iterations=total_newton,
+        kkt_residual=float(np.abs(r_d).max()),
+        iterations=it,
         success=bool(vals.max() < tol),
         message=message,
     )

@@ -107,7 +107,7 @@ class FppScaState:
     slack_trace: list = field(default_factory=list)
     objective_trace: list = field(default_factory=list)
     converged: bool = False
-    ok: bool = True                     # anchor, interior point and every subproblem solved
+    ok: bool = True                     # every subproblem solved
 
 
 def _lift_hermitian(m: np.ndarray) -> np.ndarray:
@@ -167,56 +167,9 @@ def _run_fpp_sca(
         offset.append(rate_offset * s_rate)
     quad, lin, offset = np.array(quad), np.array(lin), np.array(offset)
 
-    def row_vals(x):
-        return (quad.reshape(-1, two_d) @ x).reshape(-1, two_d) @ x + lin @ x + offset
-
-    def strictly_ok(x):
-        return row_vals(x).max() < -1e-11
-
-    def feasibility_anchor(x_bar):
-        """A point strictly inside the dense rows: minimize s subject to
-        every row <= s on [x, s], with a ball that keeps x bounded. One
-        anchor serves the whole run."""
-        if not rate_active:
-            return np.zeros(two_d)
-        q = np.zeros((3, two_d + 1, two_d + 1))
-        q[:2, :two_d, :two_d] = quad
-        q[2, np.arange(two_d), np.arange(two_d)] = 1.0
-        a = np.zeros((3, two_d + 1))
-        a[:2, :two_d] = lin
-        a[:, -1] = -1.0
-        c = np.zeros(two_d + 1)
-        c[-1] = 1.0
-        x0 = 0.999 * x_bar
-        s0 = max(row_vals(x0).max(), 0.0) + 1.0
-        problem = ConvexQcqp(c, q, a, np.append(offset, -4.0 * two_d))
-        cand = solve_convex_qcqp(problem, np.append(x0, s0), tol=1e-10).x[:two_d]
-        return cand if strictly_ok(cand) else None
-
-    def interior_near(x, anchor):
-        """Mix x with the strict anchor; by convexity any positive mixing
-        weight is strictly inside, so stay as close to x as roundoff allows."""
-        if strictly_ok(x):
-            return x
-        for tau in (0.01, 0.05, 0.2, 0.5, 1.0):
-            cand = (1.0 - tau) * x + tau * anchor
-            if strictly_ok(cand):
-                return cand
-        return None
-
-    def complete_start(x, x_bar):
-        """Attach modulus and tangent slacks with an interior margin."""
-        v_abs2 = x[:d] ** 2 + x[d:] ** 2
-        lin_part = 2.0 * (x_bar[:d] * x[:d] + x_bar[d:] * x[d:])
-        bar_abs2 = x_bar[:d] ** 2 + x_bar[d:] ** 2
-        p = np.maximum(0.0, v_abs2 - 1.0) + 0.25
-        w = np.maximum(0.0, 1.0 + bar_abs2 - lin_part) + 0.25
-        return np.concatenate([x, p, w])
-
     x = np.concatenate([v_init.real, v_init.imag])
     state = FppScaState(v=v_init.copy(), eps=eps)
     prev_obj = float(x @ (ups1_l @ x)) / s1
-    anchor = None
     # Penalty continuation: the tangent-plane rows price any phase move at
     # eps * angle^2, so at the final eps steps would be microscopic far from
     # a stationary point. Start near the (normalized) objective-gradient
@@ -232,22 +185,13 @@ def _run_fpp_sca(
             # polish the tail at the requested weight so the slacks collapse
             # even when the iteration budget is short
             eps_work = eps_final
-        if anchor is None:
-            anchor = feasibility_anchor(x)
-            if anchor is None:
-                state.ok = False
-                break
-        x_in = interior_near(x, anchor)
-        if x_in is None:
-            state.ok = False
-            break
         # maximize 2 g^T x - eps*(sum p + sum w), g = ups1_l x the
         # linearization of the sensing quadratic (constant dropped). The
         # objective's epigraph pair is eliminated exactly: for penalty
         # weight > 1 its slack sits at zero and the epigraph variable at its
         # bound
         problem = ConvexQcqp(-2.0 * (ups1_l @ x), quad, lin, offset, x_bar=x, eps=eps_work)
-        rep = solve_convex_qcqp(problem, complete_start(x_in, x), tol=1e-10)
+        rep = solve_convex_qcqp(problem, np.concatenate([x, np.zeros(two_d)]), tol=1e-10)
         if not rep.success:
             state.ok = False
             break

@@ -260,6 +260,8 @@ class TestExecute:
             ("power_dbm", "nan"),
             ("rate_target_bits", "1,inf"),
             ("n_rf_tx", "2.7"),
+            ("n_rf_tx", "0,2"),
+            ("n_rf_tx", "2,8"),
         ],
     )
     def test_bad_sweep_values_exit_two(self, tmp_path, capsys, args):
@@ -273,6 +275,20 @@ class TestExecute:
         assert main(argv) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["sweep", "benchmark", "pattern"])
+    def test_missing_out_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        import isac_beamkit.cli as cli
+
+        calls = []
+        for name in ("sweep", "scheme_row", "run_scheme"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        sc_path = self._write(tmp_path, small_doc())
+        cfg = RunConfig(command, sc_path, None, sweep_var="power_dbm", values=(0.0,),
+                        schemes=("fully_digital",))
+        assert execute(cfg) == 2
+        assert calls == []
+        assert "needs --out" in capsys.readouterr().err
 
     def test_pattern_command(self, tmp_path):
         sc_path = self._write(tmp_path, small_doc())

@@ -6,8 +6,7 @@ import pytest
 from isac_beamkit import cvxkit
 from isac_beamkit.cvxkit import (
     ConvexQcqp,
-    _Barrier,
-    _newton_barrier,
+    _Rows,
     RateInfeasibleError,
     SolverError,
     _exact_rate,
@@ -70,18 +69,17 @@ def _fpp_sca_rows(rng):
     return problem, z, full
 
 
-def _anchor_rows(rng):
-    """Feasibility-anchor shape: power, rate and ball rows on [x, s], every
-    row minus the shared s; nothing is eliminated."""
-    n_x = 10
-    n = n_x + 1
+def _dense_rows(rng):
+    """Dense rows only: two quadratic rows, one with a linear term, and a
+    ball on x; nothing is eliminated."""
+    n = 10
     rows = []
-    for lin in (np.zeros(n_x), rng.standard_normal(n_x)):
-        b = rng.standard_normal((n_x, n_x))
-        rows.append((np.pad(b @ b.T, (0, 1)), np.append(lin, -1.0), -1.0))
-    rows.append((np.diag(np.append(np.ones(n_x), 0.0)), np.append(np.zeros(n_x), -1.0), -4.0 * n_x))
-    z = np.append(0.05 * rng.standard_normal(n_x), 0.5)
-    return _dense_problem(np.append(np.zeros(n_x), 1.0), rows), z, rows
+    for lin in (np.zeros(n), rng.standard_normal(n)):
+        b = rng.standard_normal((n, n))
+        rows.append((b @ b.T, lin, -1.0))
+    rows.append((np.eye(n), np.zeros(n), -4.0 * n))
+    z = 0.05 * rng.standard_normal(n)
+    return _dense_problem(rng.standard_normal(n), rows), z, rows
 
 
 class TestTopGeneralizedEig:
@@ -166,121 +164,112 @@ class TestSolveConvexQcqp:
         assert rep.objective <= best + 1e-6
         assert abs(rep.objective - best) <= 1e-4 * max(1.0, abs(best))
 
-    def test_structured_rows_match_dense_barrier(self, rng):
+    def test_structured_rows_match_dense_kkt(self, rng):
         # values, gradients, the eliminated Newton system, the Newton step
-        # and the ray coefficients of the structured rows against the
-        # textbook dense barrier formulas
-        for case in (_fpp_sca_rows, _anchor_rows):
-            self._check_against_dense_barrier(rng, *case(rng))
+        # and the row slopes of the structured rows against the textbook
+        # dense KKT system at random positive slacks and duals
+        for case in (_fpp_sca_rows, _dense_rows):
+            self._check_against_dense_kkt(rng, *case(rng))
 
     @staticmethod
-    def _check_against_dense_barrier(rng, problem, z, rows):
+    def _check_against_dense_kkt(rng, problem, z, rows):
         n = problem.dim
+        m = len(rows)
         dz = rng.standard_normal(n)
+        lam = rng.uniform(0.1, 3.0, m)
+        wgt = lam / rng.uniform(0.1, 3.0, m)          # lambda / s
         vals = np.array([z @ q @ z + a @ z + b for q, a, b in rows])
-        assert vals.max() < 0
         grads = np.array([2 * q @ z + a for q, a, _ in rows])
-        hess = sum(np.outer(g, g) / v**2 - 2 * q / v for (q, _, _), g, v in zip(rows, grads, vals))
-        curv = np.array([dz @ q @ dz for q, _, _ in rows])
+        kkt = sum(w * np.outer(g, g) + l * 2 * q for (q, _, _), g, w, l in zip(rows, grads, wgt, lam))
+        rhs = rng.standard_normal(n)
+        step = np.linalg.solve(kkt, rhs)
         c = np.append(problem.objective, np.full(n - problem.objective.size, problem.eps))
-        g_bar = 3.0 * c - grads.T @ (1.0 / vals)
-        step = np.linalg.solve(hess, -g_bar)
 
-        barrier = _Barrier(problem)
-        assert barrier.m == len(rows)
-        np.testing.assert_array_equal(barrier.c, c)
-        v_s, gd, ge = barrier.derivatives(z)
+        struct = _Rows(problem)
+        assert struct.m == m
+        np.testing.assert_array_equal(struct.c, c)
+        v_s, gd, ge = struct.derivatives(z)
         np.testing.assert_allclose(v_s, vals, rtol=1e-13, atol=1e-13)
-        # per-row gradients, read off the ray slopes along each axis
-        g_s = np.array([barrier.ray_coefficients(e, gd, ge)[0] for e in np.eye(n)]).T
+        # per-row gradients, read off the slopes along each axis
+        g_s = np.array([struct.slopes(e, gd, ge) for e in np.eye(n)]).T
         np.testing.assert_allclose(g_s, grads, rtol=1e-13, atol=1e-13)
-        w = rng.standard_normal(vals.size)
-        np.testing.assert_allclose(barrier.grad_sum(w, gd, ge), grads.T @ w, rtol=1e-12, atol=1e-12)
+        w = rng.standard_normal(m)
+        np.testing.assert_allclose(struct.grad_sum(w, gd, ge), grads.T @ w, rtol=1e-12, atol=1e-12)
         # eliminated form: the slack block is diagonal, and the Schur
         # complement over x is what the Cholesky sees
         n_x = problem.objective.size if problem.x_bar is not None else n
-        h_ss = hess[n_x:, n_x:]
-        np.testing.assert_array_equal(h_ss - np.diag(np.diag(h_ss)), 0.0)
-        schur = hess[:n_x, :n_x] - hess[:n_x, n_x:] @ np.diag(1.0 / np.diag(h_ss)) @ hess[n_x:, :n_x]
-        h_s = barrier.reduced_system(v_s, gd, ge)[0]
+        k_ss = kkt[n_x:, n_x:]
+        np.testing.assert_array_equal(k_ss - np.diag(np.diag(k_ss)), 0.0)
+        schur = kkt[:n_x, :n_x] - kkt[:n_x, n_x:] @ np.diag(1.0 / np.diag(k_ss)) @ kkt[n_x:, :n_x]
+        h_s = struct.reduced_system(wgt, lam, gd, ge)[0]
         np.testing.assert_allclose(h_s, schur, rtol=1e-12, atol=1e-12 * np.abs(schur).max())
-        dz_s = barrier.newton_step(v_s, gd, ge, g_bar)
+        dz_s = struct.newton_step(wgt, lam, gd, ge, rhs)
         assert np.abs(dz_s - step).max() <= 1e-10 * np.abs(step).max()
-        v1, v2 = barrier.ray_coefficients(dz, gd, ge)
-        np.testing.assert_allclose(v1, grads @ dz, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(v2, curv, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(struct.slopes(dz, gd, ge), grads @ dz, rtol=1e-12, atol=1e-12)
 
     def test_singular_hessian_falls_back_to_regularized_step(self):
         # coordinate 2 is touched by no row and ignored by the objective, so
-        # the barrier Hessian is singular in it
+        # the Newton matrix is singular in it
         c = np.array([1.0, -1.0, 0.0])
-        barrier = _Barrier(_dense_problem(c, [
+        problem = _dense_problem(c, [
             (np.diag([1.0, 1.0, 0.0]), np.zeros(3), -1.0),
             (None, np.array([1.0, -0.5, 0.0]), -0.5),
-        ]))
+        ])
+        struct = _Rows(problem)
         x0 = np.array([0.1, 0.2, 3.0])
-        vals, gd, ge = barrier.derivatives(x0)
-        g = 10.0 * c - barrier.grad_sum(1.0 / vals, gd, ge)
-        dx = barrier.newton_step(vals, gd, ge, g)
+        vals, gd, ge = struct.derivatives(x0)
+        lam = np.ones(2)
+        rhs = -c - struct.grad_sum(lam, gd, ge)
+        dx = struct.newton_step(lam / -vals, lam, gd, ge, rhs)
         assert np.all(np.isfinite(dx))
         assert dx[2] == 0.0
-        x, its, reason = _newton_barrier(barrier, x0, 10.0, 60)
-        assert reason == "conv" and its > 0
-        assert np.all(np.isfinite(x)) and x[2] == 3.0
-        assert barrier.derivatives(x)[0].max() < 0
+        rep = solve_convex_qcqp(problem, x0)
+        assert rep.message == "" and rep.iterations > 0
+        assert np.all(np.isfinite(rep.x)) and rep.x[2] == 3.0
+        assert rep.success
 
-    def test_kkt_residual_at_last_centred_weight(self, rng):
-        # a stage cap must not report the duals of a barrier weight that was
-        # never centred
+    def test_iteration_cap_reports_residuals(self, rng, monkeypatch):
+        # a capped solve says so, reports the dual residual of the point it
+        # returns, and judges success by feasibility alone
         n = 6
         a = random_psd(rng, n).real + np.eye(n)
         problem = _dense_problem(rng.standard_normal(n), [
             (a, np.zeros(n), -4.0),
             (None, rng.standard_normal(n), -1.0),
         ])
-        for stages in (1, 2, 3):
-            rep = solve_convex_qcqp(problem, np.zeros(n), tol=1e-10, max_stages=stages)
-            assert rep.success
-            assert rep.kkt_residual < 1e-6
-            assert "gap" in rep.message
-        assert solve_convex_qcqp(problem, np.zeros(n), tol=1e-10).message == ""
+        x0 = np.full(n, 3.0)         # outside the ellipsoid
+        full = solve_convex_qcqp(problem, x0, tol=1e-10)
+        assert full.message == "" and full.success
+        for cap in (1, 2, 3):
+            monkeypatch.setattr(cvxkit, "_MAX_ITER", cap)
+            rep = solve_convex_qcqp(problem, x0, tol=1e-10)
+            assert rep.iterations == cap
+            assert "iteration cap" in rep.message
+            assert math.isfinite(rep.kkt_residual)
+            assert rep.success == (rep.max_violation < 1e-10)
 
-    def test_centring_stops_at_decrement_floor(self, rng):
-        # at large barrier weights the decrement bottoms out at rounding
-        # noise; centring must recognise that instead of running to the cap
-        n = 12
-        b = rng.standard_normal((n, n))
-        c = rng.standard_normal(n)
-        barrier = _Barrier(_dense_problem(c, [
-            (b @ b.T + np.eye(n), np.zeros(n), -1.0),
-            (None, rng.standard_normal(n), -1.0),
-        ]))
-        x, t_bar, f_prev = np.zeros(n), 1.0, np.inf
-        for _ in range(12):
-            x, its, reason = _newton_barrier(barrier, x, t_bar, 60)
-            assert reason == "conv" and its < 20
-            assert barrier.derivatives(x)[0].max() < 0
-            # the objective decreases along the central path
-            f = float(c @ x)
-            assert f <= f_prev + 1e-12 * max(1.0, abs(f))
-            f_prev = f
-            t_bar *= 20.0
-
-    def test_start_not_strictly_feasible_refused(self, rng):
-        # a start on or outside the boundary is refused without a Newton
-        # step; there is no phase I
-        p = _dense_problem(np.array([1.0]), [(None, np.array([1.0]), -1.0)])   # x <= 1
-        for x0 in (2.0, 1.0, np.nan):
-            rep = solve_convex_qcqp(p, np.array([x0]))
-            assert not rep.success
-            assert rep.iterations == 0
-            assert "not strictly feasible" in rep.message
-        # an FPP-SCA start whose modulus slack is negative
+    def test_any_start_reaches_the_same_optimum(self, rng):
+        # the slacks make every finite start valid: outside the rows, on a
+        # row, and with a negative entry slack all reach the optimum that a
+        # strictly feasible start reaches
+        c = np.array([-1.0, -1.0])
+        p = _dense_problem(c, [(np.eye(2), np.zeros(2), -1.0), (None, np.array([1.0, 0.0]), -0.5)])
+        ref = solve_convex_qcqp(p, np.zeros(2), tol=1e-10)
+        np.testing.assert_allclose(ref.x, [0.5, math.sqrt(0.75)], atol=1e-6)
+        for x0 in ([2.0, 2.0], [0.5, 0.0], [1.0, 0.0], [-3.0, 0.5]):
+            rep = solve_convex_qcqp(p, np.array(x0), tol=1e-10)
+            assert rep.success and rep.message == ""
+            np.testing.assert_allclose(rep.x, ref.x, atol=1e-6)
         problem, z, _ = _fpp_sca_rows(rng)
+        ref = solve_convex_qcqp(problem, z, tol=1e-10)
+        assert ref.success and ref.message == ""
         z[problem.objective.size] = -0.1
-        rep = solve_convex_qcqp(problem, z)
+        rep = solve_convex_qcqp(problem, z, tol=1e-10)
+        assert rep.success and rep.message == ""
+        assert rep.objective == pytest.approx(ref.objective, abs=1e-7)
+        # a start that is not finite is still refused without a step
+        rep = solve_convex_qcqp(p, np.array([np.nan, 0.0]))
         assert not rep.success and rep.iterations == 0
-        np.testing.assert_array_equal(rep.x, z)
 
 
 class TestWaterfill:
