@@ -28,16 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cvxkit import RateInfeasibleError, rate_constrained_trace_max_multi
-from .designs import (
-    AoReport,
-    HybridDesign,
-    RxIdentity,
-    achieved_rate,
-    default_rx,
-    digital_factor,
-)
-from .isac_opt import ao_p1, ao_p2, init_random_phase
+from .cvxkit import RateInfeasibleError
+from .designs import AoReport, HybridDesign, RxIdentity, default_rx, digital_factor
+from .isac_opt import _optimal_rbb_design, ao_p1, ao_p2, design_report, init_random_phase
 from .model import (
     ModelError,
     RicianChannelSpec,
@@ -49,6 +42,7 @@ from .model import (
 )
 from .pcrb import PcrbEngine
 from .scenarios import dbm_to_watt
+from .sensing_opt import _initial_r_bb
 
 
 class SchemeError(ValueError):
@@ -106,33 +100,6 @@ def _fully_digital_scenario(scenario: Scenario, n_rf_tx: int) -> Scenario:
     return scenario.replace(arrays=arrays)
 
 
-def _convex_exact(scenario: Scenario, engine: PcrbEngine, t_start: float) -> AoReport:
-    """Fully-digital transceiver: one exact convex solve, no AO loop."""
-    arrays = scenario.arrays
-    a_fd = engine.a1(np.eye(arrays.n_rx))
-    h_list = scenario.channel.per_subcarrier()
-    res = rate_constrained_trace_max_multi(
-        a_fd,
-        np.eye(arrays.n_tx),
-        h_list,
-        scenario.power,
-        scenario.rate_target,
-        scenario.noise_comm,
-    )
-    design = HybridDesign(None, tuple(res.r_bb), RxIdentity())
-    pcrb = engine.pcrb(design)
-    return AoReport(
-        trace=[pcrb],
-        design=design,
-        converged=True,
-        wall_time=time.perf_counter() - t_start,
-        final_pcrb=pcrb,
-        final_rate=res.rate,
-        power_used=design.total_power(),
-        feasible=True,
-    )
-
-
 def _alignment_matrix(scenario: Scenario) -> np.ndarray:
     spec = scenario.channel_spec
     if not isinstance(spec, RicianChannelSpec):
@@ -180,7 +147,10 @@ def run_scheme(
 
     if scheme.kind is SchemeKind.FULLY_DIGITAL:
         sc = _fully_digital_scenario(scenario, scenario.arrays.n_tx)
-        return _convex_exact(sc, engine.for_scenario(sc), t_start)
+        eng = engine.for_scenario(sc)
+        rx = RxIdentity()
+        design = _optimal_rbb_design(sc, HybridDesign(None, (), rx), eng.a1_of(rx))[0]
+        return design_report(sc, eng, design, t_start)
 
     if scheme.kind is SchemeKind.FD_RECEIVE:
         sc = _fully_digital_scenario(scenario, scenario.arrays.n_rf_tx)
@@ -191,17 +161,7 @@ def run_scheme(
 
     if scheme.kind is SchemeKind.RANDOM_PHASE:
         design = init_random_phase(scenario, scheme.n_rand, scenario.seed, engine)
-        pcrb = engine.pcrb(design)
-        return AoReport(
-            trace=[pcrb],
-            design=design,
-            converged=True,
-            wall_time=time.perf_counter() - t_start,
-            final_pcrb=pcrb,
-            final_rate=achieved_rate(scenario, design),
-            power_used=design.total_power(),
-            feasible=True,
-        )
+        return design_report(scenario, engine, design, t_start)
 
     if scheme.kind is SchemeKind.FD_TRANSMIT:
         arrays = scenario.arrays
@@ -214,12 +174,9 @@ def run_scheme(
         return _dispatch_ao(sc, eng, ao_options, init_design=init)
 
     if scheme.kind is SchemeKind.DIRECTION_ALIGN:
-        v_align = _alignment_matrix(scenario)
-        k = scenario.subcarriers
         arrays = scenario.arrays
-        scale = scenario.power / (arrays.n_tx * arrays.n_rf_tx * k)
-        r0 = [np.eye(arrays.n_rf_tx, dtype=complex) * scale] * k
-        init = HybridDesign(v_align, tuple(r0), default_rx(arrays))
+        r0 = _initial_r_bb(scenario, arrays.n_rf_tx)
+        init = HybridDesign(_alignment_matrix(scenario), tuple(r0), default_rx(arrays))
         return _dispatch_ao(scenario, engine, ao_options, init_design=init, fixed_v=True)
 
     if scheme.kind is SchemeKind.PARTIAL_PRIOR:
@@ -266,10 +223,11 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.variable == "n_rf_tx" and self.rf_budget <= 0:
             raise ValueError("n_rf_tx sweep needs a positive rf_budget")
-        # each side needs at least one chain; a split the receiver cannot
-        # realize is still a valid value and gives an infeasible row
-        if self.variable == "n_rf_tx" and not all(1 <= v < self.rf_budget for v in self.values):
-            raise ValueError(f"n_rf_tx sweep values must lie in [1, {self.rf_budget - 1}]")
+        # each side needs a chain and the transmitter at most one per antenna;
+        # a split the receiver cannot realize is valid and gives an infeasible row
+        top = min(self.rf_budget - 1, self.scenario.arrays.n_tx)
+        if self.variable == "n_rf_tx" and not all(1 <= v <= top for v in self.values):
+            raise ValueError(f"n_rf_tx sweep values must lie in [1, {top}]")
 
 
 @dataclass

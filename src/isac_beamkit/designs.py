@@ -196,7 +196,7 @@ def feasible(scenario: Scenario, design: HybridDesign) -> bool:
     if design.total_power() > scenario.power + POWER_TOL:
         return False
     if scenario.rate_target > 0:
-        return achieved_rate(scenario, design) >= scenario.rate_target - RATE_TOL
+        return bool(achieved_rate(scenario, design) >= scenario.rate_target - RATE_TOL)
     return True
 
 

@@ -30,6 +30,11 @@ connected) against the carrier-summed integral.
 
 Each block is committed only if it does not increase the PCRB and keeps the
 iterate feasible, so the reported objective trace is weakly decreasing.
+
+PcrbEngine.pcrb scores every design; design_report writes every scheme's
+report from its final design. _optimal_rbb_design is the one entry to the
+digital solver, for the AO, the random-phase draws and the fully-digital
+benchmark alike.
 """
 
 from __future__ import annotations
@@ -62,9 +67,14 @@ from .sensing_opt import (
     _initial_r_bb,
     _rx_update,
     _sensing_tx_update,
-    _TraceObjective,
     random_sensing_design,
 )
+
+# FPP-SCA: final slack-penalty weight relative to the sensing objective, and
+# the stop tests on the summed slacks and the relative objective change
+SCA_PENALTY = 1e3
+SCA_SLACK_TOL = 1e-7
+SCA_OBJ_TOL = 1e-8
 
 
 @dataclass
@@ -103,7 +113,6 @@ class FppScaState:
     """Progress record of one slack-penalized SCA run."""
 
     v: np.ndarray                       # final vectorized analog point
-    eps: float
     slack_trace: list = field(default_factory=list)
     objective_trace: list = field(default_factory=list)
     converged: bool = False
@@ -133,10 +142,7 @@ def _run_fpp_sca(
     rate_target: float,
     power: float,
     v_init: np.ndarray,
-    eps: float,
     max_iters: int,
-    slack_tol: float = 1e-7,
-    obj_tol: float = 1e-8,
 ) -> FppScaState:
     """Iterate the convex subproblem until the slacks collapse.
 
@@ -168,16 +174,16 @@ def _run_fpp_sca(
     quad, lin, offset = np.array(quad), np.array(lin), np.array(offset)
 
     x = np.concatenate([v_init.real, v_init.imag])
-    state = FppScaState(v=v_init.copy(), eps=eps)
+    state = FppScaState(v=v_init.copy())
     prev_obj = float(x @ (ups1_l @ x)) / s1
     # Penalty continuation: the tangent-plane rows price any phase move at
     # eps * angle^2, so at the final eps steps would be microscopic far from
     # a stationary point. Start near the (normalized) objective-gradient
     # scale for long steps and ramp towards the requested weight as progress
     # stalls; termination requires the final weight with collapsed slacks.
-    # The user's eps is relative to the natural objective, i.e. eps * s1 in
-    # the normalized units used here.
-    eps_final = eps * s1
+    # SCA_PENALTY is relative to the natural objective, i.e. SCA_PENALTY * s1
+    # in the normalized units used here.
+    eps_final = SCA_PENALTY * s1
     g0 = float(np.abs(ups1_l @ x).max())
     eps_work = min(eps_final, max(4.0 * g0, 1e-2 * eps_final, 1e-8))
     for it in range(max_iters):
@@ -201,17 +207,15 @@ def _run_fpp_sca(
         state.slack_trace.append(slack)
         state.objective_trace.append(obj)
         at_final = eps_work >= eps_final * (1 - 1e-12)
-        stalled = abs(obj - prev_obj) <= obj_tol * max(1.0, abs(prev_obj))
-        if at_final and stalled and slack < slack_tol:
+        stalled = abs(obj - prev_obj) <= SCA_OBJ_TOL * max(1.0, abs(prev_obj))
+        if at_final and stalled and slack < SCA_SLACK_TOL:
             state.converged = True
-            prev_obj = obj
             break
         if not at_final and (
             stalled or abs(obj - prev_obj) <= 1e-5 * max(1.0, abs(prev_obj))
         ):
             eps_work = min(eps_final, eps_work * 8.0)
         prev_obj = obj
-    state.eps = eps_work / s1
     state.v = x[:d] + 1j * x[d:]
     # ok reports only solver failures: a budget-capped run that is still
     # moving carries slack ~ step^2, and its projection below is judged by
@@ -228,7 +232,6 @@ def fpp_sca_vrf(
     r_bb_list,
     aux_list: list[WmmseAux],
     v_init: np.ndarray,
-    eps: float = 1e3,
     max_iters: int = 30,
 ) -> tuple[np.ndarray, FppScaState]:
     """Common transmit-analog update across all sub-carriers.
@@ -278,7 +281,6 @@ def fpp_sca_vrf(
         scenario.rate_target,
         scenario.power,
         v_init,
-        eps,
         max_iters,
     )
     return _unvec(state.v, arrays.n_tx, arrays.n_rf_tx), state
@@ -324,7 +326,6 @@ def init_random_phase(
         raise ValueError("n_rand must be >= 1")
     if engine is None:
         engine = PcrbEngine(scenario)
-    pcrb_of = _TraceObjective(engine, scenario.arrays)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x1A,)))
     best: Optional[HybridDesign] = None
     best_pcrb = np.inf
@@ -332,12 +333,12 @@ def init_random_phase(
     for _ in range(n_rand):
         cand = random_sensing_design(scenario, rng)
         try:
-            cand, res = _optimal_rbb_design(scenario, cand, pcrb_of.a1(cand.rx))
+            cand, res = _optimal_rbb_design(scenario, cand, engine.a1_of(cand.rx))
         except RateInfeasibleError as exc:
             best_rate = max(best_rate, exc.max_rate)
             continue
         best_rate = max(best_rate, res.rate)
-        pcrb = pcrb_of(cand)
+        pcrb = engine.pcrb(cand)
         if pcrb < best_pcrb:
             best, best_pcrb = cand, pcrb
     if best is None:
@@ -347,7 +348,7 @@ def init_random_phase(
 
 def _start_design(
     scenario: Scenario,
-    objective: _TraceObjective,
+    engine: PcrbEngine,
     n_init: int,
     init_design: Optional[HybridDesign],
 ) -> HybridDesign:
@@ -372,16 +373,16 @@ def _start_design(
     if init_design is not None:
         if feasible(scenario, init_design):
             return init_design
-        return _optimal_rbb_design(scenario, init_design, objective.a1(init_design.rx))[0]
+        return _optimal_rbb_design(scenario, init_design, engine.a1_of(init_design.rx))[0]
     try:
-        return init_random_phase(scenario, n_init, scenario.seed, objective.engine)
+        return init_random_phase(scenario, n_init, scenario.seed, engine)
     except RateInfeasibleError as exc:
         gram = sum(h.conj().T @ h for h in scenario.channel.per_subcarrier())
         vec = np.linalg.eigh(gram)[1][:, ::-1]
         v = np.exp(1j * np.angle(vec[:, : arrays.n_rf_tx]))
         cand = HybridDesign(v, tuple(_initial_r_bb(scenario, arrays.n_rf_tx)), default_rx(arrays))
         try:
-            return _optimal_rbb_design(scenario, cand, objective.a1(cand.rx))[0]
+            return _optimal_rbb_design(scenario, cand, engine.a1_of(cand.rx))[0]
         except RateInfeasibleError as exc2:
             raise RateInfeasibleError(
                 scenario.rate_target, max(exc.max_rate, exc2.max_rate)
@@ -432,6 +433,26 @@ def _rate_tx_update(
         return None, False
 
 
+def design_report(
+    scenario: Scenario, engine: PcrbEngine, design: HybridDesign, t_start: float,
+    trace: Optional[list] = None, converged: bool = True,
+) -> AoReport:
+    """Report of a finished design: PCRB, rate, power and feasibility are all
+    computed from it. A scheme without an iteration log (one exact solve, the
+    best of random draws) gives no trace and logs its final PCRB alone."""
+    pcrb = engine.pcrb(design)
+    return AoReport(
+        trace=[pcrb] if trace is None else trace,
+        design=design,
+        converged=converged,
+        wall_time=time.perf_counter() - t_start,
+        final_pcrb=pcrb,
+        final_rate=achieved_rate(scenario, design),
+        power_used=design.total_power(),
+        feasible=feasible(scenario, design),
+    )
+
+
 def ao_isac(
     scenario: Scenario,
     engine: Optional[PcrbEngine] = None,
@@ -462,17 +483,16 @@ def ao_isac(
     t_start = time.perf_counter()
     if engine is None:
         engine = PcrbEngine(scenario)
-    objective = _TraceObjective(engine, scenario.arrays)
 
-    design = _start_design(scenario, objective, n_init, init_design)
-    current = objective(design)
+    design = _start_design(scenario, engine, n_init, init_design)
+    current = engine.pcrb(design)
     trace = [current]
 
     # without transmit power no block can change the bound
     converged = scenario.power == 0.0
     for _ in range(0 if converged else max_outer):
         # --- transmit ------------------------------------------------------
-        a_tilde = objective.a1(design.rx)
+        a_tilde = engine.a1_of(design.rx)
         if scenario.rate_target > 0:
             cand, analog_failed = _rate_tx_update(
                 scenario, design, a_tilde, fixed_v, wmmse_rounds, sca_iters
@@ -480,7 +500,7 @@ def ao_isac(
         else:
             cand, analog_failed = _sensing_tx_update(scenario, a_tilde, design, fixed_v), False
         if cand is not None:
-            value = objective(cand)
+            value = engine.pcrb(cand)
             if value <= trace[-1] * (1 + 1e-12) and feasible(scenario, cand):
                 design, current = cand, value
 
@@ -488,7 +508,7 @@ def ao_isac(
         if not isinstance(design.rx, RxIdentity):
             rx_new = _rx_update(scenario, design, engine.b_tilde(sum(design.tx_covariances())))
             cand = HybridDesign(design.v_rf, design.r_bb, rx_new)
-            value = objective(cand)
+            value = engine.pcrb(cand)
             if value <= trace[-1] * (1 + 1e-12):
                 design, current = cand, value
 
@@ -499,16 +519,7 @@ def ao_isac(
             converged = not analog_failed
             break
 
-    return AoReport(
-        trace=trace,
-        design=design,
-        converged=converged,
-        wall_time=time.perf_counter() - t_start,
-        final_pcrb=engine.pcrb(design),
-        final_rate=achieved_rate(scenario, design),
-        power_used=design.total_power(),
-        feasible=feasible(scenario, design),
-    )
+    return design_report(scenario, engine, design, t_start, trace, converged)
 
 
 def ao_p0(

@@ -59,8 +59,9 @@ class PcrbEngine:
     """Caches the prior lag moments of one scenario for repeated evaluations.
 
     All optimizer loops get their A1/A2/Btilde/PCRB values from here so that
-    the moments are computed once per scenario. A scheme that optimizes
-    another objective passes another engine (see at_angle).
+    the moments are computed once per scenario, and pcrb scores every
+    design. A scheme that optimizes another objective passes another engine
+    (see at_angle).
     """
 
     def __init__(self, scenario: Scenario, grid: QuadratureGrid | None = None):
@@ -73,6 +74,7 @@ class PcrbEngine:
             scenario.arrays, self.grid.nodes, self.grid.weights * prior.pdf(self.grid.nodes)
         )
         self.f_p_theta = prior_fisher_theta(prior, self.grid)
+        self._rx = self._a1 = None     # the a1_of cache
 
     def at_angle(self, theta: float) -> "PcrbEngine":
         """Engine of the point objective: the prior collapsed onto theta.
@@ -83,6 +85,7 @@ class PcrbEngine:
         optimizes.
         """
         engine = copy.copy(self)
+        engine._rx = engine._a1 = None
         engine.moments = LagMoments(self.scenario.arrays, np.array([theta]), np.ones(1))
         return engine
 
@@ -101,6 +104,7 @@ class PcrbEngine:
         if key(scenario) != key(self.scenario):
             raise ModelError("scenario does not share this engine's antennas, prior and grid")
         engine = copy.copy(self)
+        engine._rx = engine._a1 = None
         engine.scenario = scenario
         return engine
 
@@ -120,15 +124,18 @@ class PcrbEngine:
         sc = self.scenario
         return 2.0 * sc.symbols * sc.reflection.gamma / (kappa * sc.noise_sense)
 
-    def j_theta_theta(self, design: HybridDesign) -> float:
-        w = design.rx.matrix(self.scenario.arrays)
-        kappa = design.rx.kappa(self.scenario.arrays)
-        a1 = self.a1(w)
-        tr = sum(np.trace(a1 @ t).real for t in design.tx_covariances())
-        return self.info_coefficient(kappa) * tr
+    def a1_of(self, rx) -> np.ndarray:
+        """A1 of a receive descriptor's matrix, kept for the last descriptor:
+        the designs of an AO run share it until the receive block replaces it."""
+        if rx is not self._rx:
+            self._rx, self._a1 = rx, self.a1(rx.matrix(self.scenario.arrays))
+        return self._a1
 
     def pcrb(self, design: HybridDesign) -> float:
-        return 1.0 / (self.f_p_theta + self.j_theta_theta(design))
+        """Angle PCRB of a design: the trace of its covariances against A1."""
+        a1 = self.a1_of(design.rx)
+        tr = sum(np.trace(a1 @ t).real for t in design.tx_covariances())
+        return self.pcrb_from_trace(design.rx.kappa(self.scenario.arrays), tr)
 
     def pcrb_from_trace(self, kappa: float, trace_value: float) -> float:
         return 1.0 / (self.f_p_theta + self.info_coefficient(kappa) * trace_value)

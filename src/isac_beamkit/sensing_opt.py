@@ -8,7 +8,8 @@ construction); and each single entry of either analog matrix has a
 closed-form phase-alignment optimum, swept cyclically. The loop that
 alternates them is isac_opt.ao_isac, which picks these transmit blocks when
 the scenario's rate target is zero; the receive blocks serve every rate
-target.
+target. The blocks take their integrals (A1, B~) as arguments; the PCRB
+that judges them is PcrbEngine.pcrb.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .designs import HybridDesign, RxDft, RxIdentity, RxPhases, dft_matrix
 from .cvxkit import top_generalized_eig
-from .model import ArrayConfig, RxArchitecture, Scenario
-from .pcrb import PcrbEngine
+from .model import RxArchitecture, Scenario
 
 
 def solve_p0_fully_digital(a: np.ndarray, power: float) -> np.ndarray:
@@ -167,30 +167,6 @@ def _rx_update(
         return RxDft(dft_select_fc(b_tilde, arrays.n_rf_rx))
     pi = receive_quadratic(b_tilde, arrays.n_rf_rx)
     return RxPhases(coordinate_update_receive(design.rx.d, pi))
-
-
-class _TraceObjective:
-    """PCRB of a design from the trace against the engine's A1.
-
-    Designs of one AO run share their receive descriptor until the receive
-    block replaces it, so keeping the last (descriptor, A1) pair evaluates
-    A1 once per receive matrix.
-    """
-
-    def __init__(self, engine: PcrbEngine, arrays: ArrayConfig):
-        self.engine = engine
-        self.arrays = arrays
-        self._rx = self._a1 = None
-
-    def a1(self, rx) -> np.ndarray:
-        if rx is not self._rx:
-            self._rx, self._a1 = rx, self.engine.a1(rx.matrix(self.arrays))
-        return self._a1
-
-    def __call__(self, design: HybridDesign) -> float:
-        a1 = self.a1(design.rx)
-        tr = sum(np.trace(a1 @ t).real for t in design.tx_covariances())
-        return self.engine.pcrb_from_trace(design.rx.kappa(self.arrays), tr)
 
 
 def random_sensing_design(scenario: Scenario, rng: np.random.Generator) -> HybridDesign:

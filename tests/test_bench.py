@@ -15,7 +15,7 @@ from isac_beamkit.bench import (
     run_scheme,
     sweep,
 )
-from isac_beamkit.designs import HybridDesign, RxIdentity, RxPhases
+from isac_beamkit.designs import HybridDesign, RxIdentity, RxPhases, achieved_rate
 from isac_beamkit.model import (
     RicianChannelSpec,
     RxArchitecture,
@@ -60,6 +60,20 @@ class TestRunScheme:
         r2 = run_scheme(Scheme(SchemeKind.RANDOM_PHASE, 3), sc)
         assert r1.final_pcrb == r2.final_pcrb
         np.testing.assert_array_equal(r1.design.v_rf, r2.design.v_rf)
+
+    @pytest.mark.parametrize("scheme", ["fully_digital", "random_phase:3"])
+    def test_single_solve_reports_are_scored_from_the_design(self, monkeypatch, scheme):
+        import isac_beamkit.isac_opt as isac_opt
+
+        sc = rician_scenario(seed=3, rate_target=0.5)
+        rep = run_scheme(Scheme.parse(scheme), sc)
+        assert rep.final_rate == achieved_rate(sc, rep.design)
+        assert rep.final_rate >= sc.rate_target - 1e-6
+        assert rep.feasible is True
+        assert rep.trace == [rep.final_pcrb]
+        # feasibility is judged, not asserted
+        monkeypatch.setattr(isac_opt, "feasible", lambda scenario, design: False)
+        assert run_scheme(Scheme.parse(scheme), sc).feasible is False
 
     def test_fd_receive_matches_fully_digital_on_sensing(self):
         # two transmit chains + fully-digital receiver == convex optimum

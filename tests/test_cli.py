@@ -180,6 +180,16 @@ class TestExecute:
         )
         assert doc["j_theta_alpha"] == [0.0, 0.0]
 
+    def test_rate_constrained_report_is_json(self, tmp_path):
+        doc = small_doc()
+        doc["rate_target_bits"] = 1.0
+        sc_path = self._write(tmp_path, doc)
+        out = tmp_path / "report.json"
+        assert execute(RunConfig("optimize-isac", sc_path, str(out))) == 0
+        rep = json.load(open(out))
+        assert rep["feasible"] is True
+        assert rep["rate_bits"] >= 1.0 - 1e-6
+
     def test_infeasible_rate_exits_one_with_diagnostic(self, tmp_path):
         doc = small_doc()
         doc["rate_target_bits"] = 80.0
@@ -262,6 +272,7 @@ class TestExecute:
             ("n_rf_tx", "2.7"),
             ("n_rf_tx", "0,2"),
             ("n_rf_tx", "2,8"),
+            ("n_rf_tx", "2,6"),   # more transmit chains than the 4 antennas
         ],
     )
     def test_bad_sweep_values_exit_two(self, tmp_path, capsys, args):

@@ -340,9 +340,9 @@ class TestAoP1:
     def test_failed_analog_block_is_not_convergence(self, monkeypatch):
         import isac_beamkit.isac_opt as isac_opt
 
-        def failing_sca(scenario, a_tilde, r_bb_list, aux_list, v_init, eps=1e3, max_iters=30):
+        def failing_sca(scenario, a_tilde, r_bb_list, aux_list, v_init, max_iters=30):
             v = isac_opt._unvec(v_init, scenario.arrays.n_tx, scenario.arrays.n_rf_tx)
-            return v, isac_opt.FppScaState(v=v_init, eps=eps, ok=False)
+            return v, isac_opt.FppScaState(v=v_init, ok=False)
 
         monkeypatch.setattr(isac_opt, "fpp_sca_vrf", failing_sca)
         sc = feasible_rate_scenario(seed=2, n_tx=4, n_rx=4, n_rf_tx=2, n_rf_rx=2)

@@ -162,8 +162,8 @@ class TestAoP2:
         assert len(calls) == 3
         calls.clear()
         rep = ao_p2(sc, eng, init_design=start, max_outer=0)
-        # the start design's objective, then the final PCRB
-        assert len(calls) == 2
+        # the start design's objective; the final PCRB reuses its A1
+        assert len(calls) == 1
         assert rep.trace == [eng.pcrb(start)]
 
     def test_zero_rate_target_matches_sensing(self):
@@ -217,9 +217,9 @@ class TestAoP2:
         import isac_beamkit.isac_opt as isac_opt
         from isac_beamkit.isac_opt import FppScaState, _unvec
 
-        def failing_sca(scenario, a_tilde, r_bb_list, aux_list, v_init, eps=1e3, max_iters=30):
+        def failing_sca(scenario, a_tilde, r_bb_list, aux_list, v_init, max_iters=30):
             v = _unvec(v_init, scenario.arrays.n_tx, scenario.arrays.n_rf_tx)
-            return v, FppScaState(v=v_init, eps=eps, ok=False)
+            return v, FppScaState(v=v_init, ok=False)
 
         monkeypatch.setattr(isac_opt, "fpp_sca_vrf", failing_sca)
         sc = ofdm_feasible_scenario(seed=3, k=2, n_tx=3, n_rx=2, n_rf_tx=2, n_rf_rx=2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,37 @@ class TestAssemble:
         des = small_design(rng, sc)
         orc = fim_oracle(sc, des, mc_samples=2000, seed=2)
         assert orc.j_theta_theta == 0.0
+
+
+class TestEngineCache:
+    def test_a1_of_reuses_the_last_descriptor(self, rng, monkeypatch):
+        sc = make_scenario(seed=2)
+        eng = PcrbEngine(sc)
+        rx = RxPhases(random_phases(rng, sc.arrays.n_rx))
+        calls = []
+        a1 = PcrbEngine.a1
+        monkeypatch.setattr(PcrbEngine, "a1", lambda self, w: calls.append(1) or a1(self, w))
+        first = eng.a1_of(rx)
+        assert eng.a1_of(rx) is first and len(calls) == 1
+        # an equal descriptor is another receive step: the key is identity
+        eng.a1_of(RxPhases(rx.d))
+        assert len(calls) == 2
+
+    def test_copies_start_with_an_empty_cache(self, rng):
+        sc = make_scenario(seed=3)
+        eng = PcrbEngine(sc)
+        rx = RxPhases(random_phases(rng, sc.arrays.n_rx))
+        cached = eng.a1_of(rx)
+        point = eng.at_angle(0.3)
+        own = point.a1(rx.matrix(sc.arrays))
+        assert not np.allclose(own, cached)
+        np.testing.assert_array_equal(point.a1_of(rx), own)
+        # four receive chains give the same phase vector another combiner
+        sc4 = sc.replace(arrays=replace(sc.arrays, n_rf_rx=4))
+        other = eng.for_scenario(sc4)
+        own = other.a1(rx.matrix(sc4.arrays))
+        assert not np.allclose(own, cached)
+        np.testing.assert_array_equal(other.a1_of(rx), own)
 
 
 class TestPcrbTheta:
