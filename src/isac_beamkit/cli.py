@@ -22,7 +22,7 @@ radians; rates in bits/s/Hz or nats/s/Hz)::
       "rate_target_bits": 4.5,      # or "rate_target_nats"
       "subcarriers": 1,
       "quadrature_points": 2048,
-      "seed": 2025
+      "seed": 2025                  # non-negative integer
     }
 
 Design JSON stores complex entries as [re, im] pairs::
@@ -109,7 +109,7 @@ class RunConfig:
     trials: int = 1
     design_path: Optional[str] = None
     scheme: Optional[str] = None
-    schemes: tuple = ()
+    schemes: Optional[tuple] = None     # None: the command's default schemes
     sweep_var: Optional[str] = None
     values: tuple = ()
     rf_budget: int = 0
@@ -209,8 +209,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(subcarriers, int) or subcarriers < 1:
         raise ConfigError("subcarriers must be a positive integer")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
 
     chan_doc = _require(doc, "channel", dict)
     kind = _require(chan_doc, "type", str, "channel")
@@ -489,12 +489,19 @@ def _cmd_optimize(cfg: RunConfig, scenario: Scenario) -> int:
     return 0
 
 
+def _given_schemes(cfg: RunConfig) -> Optional[tuple]:
+    """The --schemes labels, None when not given; given, they name at least one."""
+    if cfg.schemes == ():
+        raise ConfigError("--schemes names no scheme")
+    return cfg.schemes
+
+
 def _cmd_sweep(cfg: RunConfig, scenario: Scenario) -> int:
     if not cfg.out_path:
         raise ConfigError("sweep needs --out")
     if not cfg.sweep_var or not cfg.values:
         raise ConfigError("sweep needs --var and --values")
-    schemes = tuple(Scheme.parse(s) for s in (cfg.schemes or ("proposed",)))
+    schemes = tuple(Scheme.parse(s) for s in (_given_schemes(cfg) or ("proposed",)))
     try:
         spec = SweepSpec(
             scenario=scenario,
@@ -516,7 +523,7 @@ def _cmd_sweep(cfg: RunConfig, scenario: Scenario) -> int:
 def _cmd_benchmark(cfg: RunConfig, scenario: Scenario) -> int:
     if not cfg.out_path:
         raise ConfigError("benchmark needs --out")
-    schemes = cfg.schemes or (
+    schemes = _given_schemes(cfg) or (
         "fully_digital",
         "fd_receive",
         "fd_transmit",
@@ -558,6 +565,8 @@ def execute(cfg: RunConfig) -> int:
     try:
         scenario = load_scenario(cfg.scenario_path, cfg.overrides)
         if cfg.seed is not None:
+            if cfg.seed < 0:
+                raise ConfigError("--seed must be a non-negative integer")
             scenario = scenario.replace(seed=cfg.seed)
             if scenario.channel_spec is not None:
                 scenario = scenario.replace(
@@ -643,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=0, help="total RF chains for n_rf_tx sweeps")
 
     p = sub.add_parser("benchmark", parents=[common])
-    p.add_argument("--schemes", default="", help="comma-separated scheme names")
+    p.add_argument("--schemes", help="comma-separated scheme names")
 
     p = sub.add_parser("pattern", parents=[common])
     p.add_argument("--design", help="design JSON path")
@@ -656,8 +665,8 @@ def main(argv=None) -> int:
     values: tuple = ()
     if getattr(args, "values", None):
         values = tuple(args.values.split(","))  # parsed and checked by the sweep command
-    schemes: tuple = ()
-    if getattr(args, "schemes", None):
+    schemes: Optional[tuple] = None
+    if getattr(args, "schemes", None) is not None:
         schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     cfg = RunConfig(
         command=args.command,

@@ -51,6 +51,7 @@ from .cvxkit import (
     TraceMaxResult,
     rate_constrained_trace_max_multi,
     solve_convex_qcqp,
+    top_generalized_eig,
 )
 from .designs import (
     AoReport,
@@ -318,9 +319,12 @@ def init_random_phase(
 ) -> HybridDesign:
     """Best feasible design among seeded uniform-phase analog realizations.
 
-    Every realization gets its exact optimal digital covariance; raises
+    A realization gets its exact optimal digital covariance unless it cannot
+    beat the best feasible one so far: without the rate floor its trace is
+    at most P lam_max(V^H A1 V, V^H V), and a draw whose PCRB at that bound
+    is not below the best is skipped. The skip changes no result; raises
     RateInfeasibleError carrying the best achievable rate when no
-    realization meets the target.
+    realization meets the target (nothing is skipped before a feasible one).
     """
     if n_rand < 1:
         raise ValueError("n_rand must be >= 1")
@@ -332,8 +336,16 @@ def init_random_phase(
     best_rate = 0.0
     for _ in range(n_rand):
         cand = random_sensing_design(scenario, rng)
+        a1 = engine.a1_of(cand.rx)
+        if best is not None:
+            v = cand.v_rf
+            lam = top_generalized_eig(v.conj().T @ a1 @ v, v.conj().T @ v)[0]
+            kappa = cand.rx.kappa(scenario.arrays)
+            # the 1e-9 margin keeps rounding from skipping a draw that would win
+            if engine.pcrb_from_trace(kappa, scenario.power * lam * (1 + 1e-9)) >= best_pcrb:
+                continue
         try:
-            cand, res = _optimal_rbb_design(scenario, cand, engine.a1_of(cand.rx))
+            cand, res = _optimal_rbb_design(scenario, cand, a1)
         except RateInfeasibleError as exc:
             best_rate = max(best_rate, exc.max_rate)
             continue
@@ -360,9 +372,11 @@ def _start_design(
     may undercut every rate-feasible design, each feasible candidate would
     be rejected. A given design that misses the rate therefore first gets
     its exact digital stage. Without one, the best seeded random-phase draw
-    is used; if no draw meets the rate, the phases of the dominant right
-    singular vectors of the stacked channel (the communication-only analog
-    choice) are tried before the target is declared infeasible.
+    is used (init_random_phase solves only the draws whose sensing bound can
+    still beat the best feasible one); if no draw meets the rate, the phases
+    of the dominant right singular vectors of the stacked channel (the
+    communication-only analog choice) are tried before the target is
+    declared infeasible.
     """
     arrays = scenario.arrays
     if scenario.rate_target <= 0:

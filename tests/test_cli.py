@@ -301,6 +301,55 @@ class TestExecute:
         assert calls == []
         assert "needs --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "benchmark"])
+    @pytest.mark.parametrize("schemes", [",", " , ", ""])
+    def test_empty_scheme_list_exits_two_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, schemes
+    ):
+        import isac_beamkit.cli as cli
+
+        calls = []
+        for name in ("sweep", "scheme_row", "run_scheme"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        sc_path = self._write(tmp_path, small_doc())
+        out = tmp_path / "out.csv"
+        argv = [command, "--scenario", sc_path, "--out", str(out), "--schemes", schemes]
+        if command == "sweep":
+            argv += ["--var", "power_dbm", "--values", "0"]
+        assert cli.main(argv) == 2
+        assert calls == []
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --schemes names no scheme")
+
+    @pytest.mark.parametrize("seed", [-3, True, 2.0])
+    def test_bad_scenario_seed_exits_two(self, tmp_path, capsys, seed):
+        doc = small_doc()
+        doc["seed"] = seed
+        with pytest.raises(ConfigError, match="seed"):
+            scenario_from_dict(doc)
+        sc_path = self._write(tmp_path, doc)
+        out = tmp_path / "report.json"
+        assert execute(RunConfig("optimize-sensing", sc_path, str(out))) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+
+    @pytest.mark.parametrize("command", ["optimize-sensing", "pcrb"])
+    def test_negative_seed_override_exits_two(self, tmp_path, capsys, command):
+        from isac_beamkit.cli import main
+
+        sc_path = self._write(tmp_path, small_doc())
+        out = tmp_path / "report.json"
+        argv = [command, "--scenario", sc_path, "--out", str(out), "--seed", "-3"]
+        if command == "pcrb":
+            report = tmp_path / "sensing.json"
+            assert main(["optimize-sensing", "--scenario", sc_path, "--out", str(report)]) == 0
+            design = tmp_path / "design.json"
+            design.write_text(json.dumps(json.load(open(report))["design"]))
+            argv += ["--design", str(design)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --seed must be a non-negative integer")
+
     def test_pattern_command(self, tmp_path):
         sc_path = self._write(tmp_path, small_doc())
         out = tmp_path / "pattern.csv"

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from isac_beamkit.cvxkit import RateInfeasibleError, mimo_capacity, rate_constrained_trace_max_multi
+from isac_beamkit import bench, isac_opt
+from isac_beamkit.cvxkit import (
+    RateInfeasibleError,
+    mimo_capacity,
+    rate_constrained_trace_max_multi,
+    top_generalized_eig,
+)
 from isac_beamkit.designs import HybridDesign, RxIdentity, RxPhases, achieved_rate, digital_factor
 from isac_beamkit.isac_opt import (
     _optimal_rbb_design,
@@ -18,6 +24,7 @@ from isac_beamkit.isac_opt import (
 )
 from isac_beamkit.model import RxArchitecture
 from isac_beamkit.pcrb import PcrbEngine
+from isac_beamkit.scenarios import default_ofdm_scenario, default_scenario
 from isac_beamkit.sensing_opt import coordinate_update_transmit, random_sensing_design
 
 from conftest import make_scenario, random_phases, random_psd
@@ -235,6 +242,108 @@ class TestInitRandomPhase:
         with pytest.raises(RateInfeasibleError) as exc:
             init_random_phase(sc, 3, seed=0)
         assert 0 < exc.value.max_rate < 50.0
+
+
+def solve_every_draw(sc, n_rand, seed, engine):
+    """init_random_phase without the skip: every draw gets its digital stage."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x1A,)))
+    best, best_pcrb, best_rate = None, np.inf, 0.0
+    for _ in range(n_rand):
+        cand = random_sensing_design(sc, rng)
+        try:
+            cand, res = _optimal_rbb_design(sc, cand, engine.a1(cand.rx.matrix(sc.arrays)))
+        except RateInfeasibleError as exc:
+            best_rate = max(best_rate, exc.max_rate)
+            continue
+        best_rate = max(best_rate, res.rate)
+        pcrb = engine.pcrb(cand)
+        if pcrb < best_pcrb:
+            best, best_pcrb = cand, pcrb
+    if best is None:
+        raise RateInfeasibleError(sc.rate_target, best_rate)
+    return best
+
+
+def assert_same_design(got, ref):
+    np.testing.assert_array_equal(got.v_rf, ref.v_rf)
+    assert len(got.r_bb) == len(ref.r_bb)
+    for r_got, r_ref in zip(got.r_bb, ref.r_bb):
+        np.testing.assert_array_equal(r_got, r_ref)
+    np.testing.assert_array_equal(got.rx.d, ref.rx.d)
+
+
+class TestRandomPhaseSkip:
+    """Draws whose sensing bound cannot beat the best feasible one are not
+    solved; the chosen design must be the one solving every draw gives."""
+
+    @pytest.mark.parametrize(
+        "sc",
+        [
+            default_scenario(rate_target_bits=2.0, seed=5),
+            default_scenario(rate_target_bits=3.5, seed=5),
+            default_scenario(rate_target_bits=4.5, seed=5),
+            default_ofdm_scenario(seed=11),
+        ],
+        ids=["nb-2.0", "nb-3.5", "nb-4.5", "ofdm-k16"],
+    )
+    def test_matches_solving_every_draw(self, sc):
+        eng = PcrbEngine(sc)
+        got = init_random_phase(sc, 48, sc.seed, eng)
+        assert_same_design(got, solve_every_draw(sc, 48, sc.seed, eng))
+
+    def test_zero_rate_scheme_matches_solving_every_draw(self):
+        sc = default_scenario(rate_target_bits=0.0, seed=5)
+        eng = PcrbEngine(sc)
+        rep = bench.run_scheme(bench.Scheme.parse("random_phase:30"), sc, eng)
+        ref = solve_every_draw(sc, 30, sc.seed, eng)
+        assert_same_design(rep.design, ref)
+        assert rep.final_pcrb == eng.pcrb(ref)
+
+    def test_infeasible_target_reports_the_same_rate(self):
+        sc = default_scenario(rate_target_bits=12.0, seed=5)
+        eng = PcrbEngine(sc)
+        with pytest.raises(RateInfeasibleError) as got:
+            init_random_phase(sc, 20, sc.seed, eng)
+        with pytest.raises(RateInfeasibleError) as ref:
+            solve_every_draw(sc, 20, sc.seed, eng)
+        assert got.value.max_rate == ref.value.max_rate
+
+    @pytest.mark.parametrize(
+        "sc",
+        [default_scenario(rate_target_bits=3.5, seed=5), default_ofdm_scenario(seed=11)],
+        ids=["nb-3.5", "ofdm-k16"],
+    )
+    def test_skipped_draws_are_not_solved(self, sc, monkeypatch):
+        calls = []
+        solve = isac_opt._optimal_rbb_design
+        monkeypatch.setattr(
+            isac_opt, "_optimal_rbb_design", lambda *a: calls.append(1) or solve(*a)
+        )
+        init_random_phase(sc, 48, sc.seed, PcrbEngine(sc))
+        assert 1 <= len(calls) < 48
+
+    def test_solver_objective_is_bounded_by_top_eigenvalue(self):
+        # the skip's premise: dropping the rate floor, tr(A R) <= P lam_max(A, G),
+        # with equality on the solver's sensing branch
+        rng = np.random.default_rng(4)
+        branches = set()
+        for bits in (0.0, 2.0, 3.5, 4.5):
+            sc = default_scenario(rate_target_bits=bits, seed=5)
+            eng = PcrbEngine(sc)
+            for _ in range(8):
+                draw = random_sensing_design(sc, rng)
+                v, a1 = draw.v_rf, eng.a1(draw.rx.matrix(sc.arrays))
+                lam = top_generalized_eig(v.conj().T @ a1 @ v, v.conj().T @ v)[0]
+                try:
+                    res = _optimal_rbb_design(sc, draw, a1)[1]
+                except RateInfeasibleError:
+                    continue
+                branches.add(res.branch)
+                if res.branch == "sensing":
+                    assert res.objective == pytest.approx(sc.power * lam, rel=1e-12)
+                else:
+                    assert res.objective <= sc.power * lam * (1 + 1e-12)
+        assert branches == {"sensing", "dual"}
 
 
 class TestAoP1:
