@@ -55,7 +55,6 @@ from .sensing_opt import (
     coordinate_update_transmit,
     dft_select_fc,
     hybrid_from_rank1,
-    solve_p0_fully_digital,
 )
 from .isac_opt import (
     WmmseAux,

@@ -143,6 +143,14 @@ def _require(doc: dict, key: str, kind, context: str = ""):
     return val
 
 
+def _optional_int(doc: dict, key: str, default: int, low: int) -> int:
+    """An optional integer field at least `low` (0 or 1); booleans are refused."""
+    val = doc.get(key, default)
+    if not isinstance(val, int) or isinstance(val, bool) or val < low:
+        raise ConfigError(f"{key} must be a {'positive' if low else 'non-negative'} integer")
+    return val
+
+
 def _power_field(doc: dict, base: str) -> float:
     if f"{base}_w" in doc:
         return _require(doc, f"{base}_w", float)
@@ -205,12 +213,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except ModelError as exc:
         raise ConfigError(str(exc)) from exc
 
-    subcarriers = doc.get("subcarriers", 1)
-    if not isinstance(subcarriers, int) or subcarriers < 1:
-        raise ConfigError("subcarriers must be a positive integer")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+    subcarriers = _optional_int(doc, "subcarriers", 1, 1)
+    seed = _optional_int(doc, "seed", 0, 0)
 
     chan_doc = _require(doc, "channel", dict)
     kind = _require(chan_doc, "type", str, "channel")
@@ -252,9 +256,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         raise ConfigError("missing 'rate_target_bits' or 'rate_target_nats'")
 
-    quad_points = doc.get("quadrature_points", 2048)
-    if not isinstance(quad_points, int) or quad_points < 1:
-        raise ConfigError("quadrature_points must be a positive integer")
+    quad_points = _optional_int(doc, "quadrature_points", 2048, 1)
 
     try:
         return Scenario(

@@ -11,12 +11,13 @@ Three pieces, all deterministic and dependency-free beyond numpy/scipy:
     2x2 block per entry to the matrix over x, and the Cholesky runs on x
     alone. Without the per-entry rows it solves the dense rows only;
   * the rate-constrained trace-maximization solver for the transmit digital
-    covariance, via Lagrange duality with two scalar multipliers: at a
-    power dual mu the Lagrangian's maximizer is a water-filling whose level
-    (the rate dual) exhausts the power budget in closed form, and one
-    monotone root search over mu meets the rate target. It takes a list of
-    carriers (one covariance per carrier, average-rate constraint); the
-    narrowband problem is the list of one.
+    covariances, on the range of the Gram G = V^H V: the rank-1 sensing
+    optimum ("sensing") when it meets the rate, else Lagrange duality with
+    two scalar multipliers ("dual"): at a power dual mu the Lagrangian's
+    maximizer is a water-filling whose level (the rate dual) exhausts the
+    power budget in closed form, and one monotone root search over mu
+    meets the rate target. It takes a list of carriers (one covariance per
+    carrier, average-rate constraint); the narrowband problem is one.
 """
 
 from __future__ import annotations
@@ -348,10 +349,16 @@ def waterfill(gains: np.ndarray, budget: float, noise: float) -> tuple[np.ndarra
     return p, level
 
 
-def _inv_sqrt_psd(m: np.ndarray, floor: float = 1e-300) -> np.ndarray:
-    lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
-    lam = np.maximum(lam, floor)
-    return (vec / np.sqrt(lam)) @ vec.conj().T
+def _range_basis(g: np.ndarray) -> np.ndarray:
+    """Basis B of the range of the PSD Gram G with B^H G B = I.
+
+    With G = U diag(s) U^H, B = U_+ diag(s_+)^-1/2 over the eigenvalues
+    above 1e-10 of the largest, so an analog matrix with dependent columns
+    keeps the directions it can radiate. For G = I, B = I exactly.
+    """
+    s, u = np.linalg.eigh(g)
+    keep = s > 1e-10 * s[-1]
+    return u[:, keep] / np.sqrt(s[keep])
 
 
 def mimo_capacity(
@@ -360,18 +367,11 @@ def mimo_capacity(
     """Maximum average rate over the sub-carriers at total power `power`.
 
     Joint water-filling across all (carrier, eigenmode) pairs of the
-    whitened channels H_k G^{-1/2}. g_eff must be positive definite (an
-    analog matrix with dependent columns has no well-defined per-chain
-    power accounting).
+    whitened channels H_k B, B the basis of range(G) from _range_basis: the
+    power x^H G x is spent on the directions the Gram can radiate.
     """
-    try:
-        scipy.linalg.cholesky(g_eff, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError("power Gram matrix is not positive definite") from exc
-    g_inv_half = _inv_sqrt_psd(g_eff)
-    gains = np.concatenate(
-        [scipy.linalg.svdvals(h @ g_inv_half) ** 2 for h in h_list]
-    )
+    basis = _range_basis(g_eff)
+    gains = np.concatenate([scipy.linalg.svdvals(h @ basis) ** 2 for h in h_list])
     p, _ = waterfill(gains, power, noise)
     return float(np.log1p(p * gains / noise).sum() / len(h_list))
 
@@ -386,7 +386,7 @@ class TraceMaxResult:
     power: float
     beta: float          # dual of the rate constraint
     mu: float            # dual of the power constraint
-    branch: str          # "sensing" | "capacity" | "dual"
+    branch: str          # "sensing" | "dual"
 
     @property
     def r_single(self) -> np.ndarray:
@@ -455,25 +455,22 @@ class _DualPoint:
 class _DualPoints:
     """Inner maximizer of the Lagrangian, evaluated in the (A, G) eigenbasis.
 
-    With G^-1/2 A G^-1/2 = U diag(lam) U^H, the factor
-    F(mu) = G^-1/2 U diag(s), s = (mu - lam)^-1/2, satisfies
-    F F^H = (mu G - A)^-1, F^H G F = diag(s^2) and F^H A F = diag(lam s^2).
-    The whitened channels H_k F(mu) are the fixed B_k = H_k G^-1/2 U with
-    scaled columns, so a dual point costs one batched SVD and no
-    eigendecomposition. At duals (mu, beta) the maximizer is
+    With the range basis B of G and B^H A B = U diag(lam) U^H, the factor
+    F(mu) = B U diag(s), s = (mu - lam)^-1/2, satisfies F^H G F = diag(s^2)
+    and F^H A F = diag(lam s^2). The whitened channels H_k F(mu) are the
+    fixed H_k B U with scaled columns, so a dual point costs one batched SVD
+    and no eigendecomposition. At duals (mu, beta) the maximizer is
     R_k = F V_k diag(p_k) V_k^H F^H, water-filled at the level beta/K over
     the mode gains g; mode j of carrier k costs w = sum_i |V_ij|^2 s_i^2
     power per unit of p. For a given mu the beta that exhausts the budget,
     sum w (beta/K - noise/g)^+ = P, is therefore exact by sorting the
     breakpoints noise/g, and a point is one SVD per mu. The covariances are
-    formed only on request.
+    formed only on request, in the coordinates of G.
     """
 
-    def __init__(self, a_eff: np.ndarray, g_eff: np.ndarray, h_list: list[np.ndarray], noise: float):
-        g_inv_half = _inv_sqrt_psd(g_eff)
-        a_w = g_inv_half @ a_eff @ g_inv_half
+    def __init__(self, a_w: np.ndarray, basis: np.ndarray, h_list: list[np.ndarray], noise: float):
         self.lam, u = np.linalg.eigh(0.5 * (a_w + a_w.conj().T))
-        self.basis = g_inv_half @ u
+        self.basis = basis @ u
         self.b = np.stack([h @ self.basis for h in h_list])
         self.noise = noise
 
@@ -509,15 +506,19 @@ def rate_constrained_trace_max_multi(
 ) -> TraceMaxResult:
     """maximize sum_k tr(A R_k) s.t. average rate >= target, total power <= P.
 
-    A = a_eff (PSD), Gram G = g_eff (PD), per-carrier channels h_list. Strong
-    duality holds (convex, Slater point from the capacity solution), so the
-    optimum is recovered from two scalar duals: mu (power) and beta (rate).
-    For each mu the budget-exhausting beta is exact (see _DualPoints); along
-    that curve beta and the achieved rate increase with mu, so one monotone
-    root search in log(mu - lam_max) for rate(mu) = target gives both duals.
-    If water-filling meets the rate without the whole budget even at the
-    smallest mu, mu stays there, the level is lowered to the rate and the
-    remaining power goes on the top sensing direction.
+    A = a_eff (PSD), Gram G = g_eff (PSD), per-carrier channels h_list. G is
+    reduced once, to the basis B of its range, and the solve runs on
+    B^H A B, so dependent analog columns are allowed. The rank-1 sensing
+    optimum is returned ("sensing") when it meets the rate. Otherwise
+    strong duality holds (convex, Slater point from the capacity solution),
+    so the optimum is recovered from two scalar duals: mu (power) and beta
+    (rate) ("dual"). For each mu the budget-exhausting beta is exact (see
+    _DualPoints); along that curve beta and the achieved rate increase with
+    mu, so one monotone root search in log(mu - lam_max) for
+    rate(mu) = target gives both duals. If water-filling meets the rate
+    without the whole budget even at the smallest mu, mu stays there, the
+    level is lowered to the rate and the remaining power goes on the top
+    sensing direction (with A = 0: the rate target at full power).
     """
     a_eff = 0.5 * (np.asarray(a_eff) + np.asarray(a_eff).conj().T)
     g_eff = 0.5 * (np.asarray(g_eff) + np.asarray(g_eff).conj().T)
@@ -525,29 +526,10 @@ def rate_constrained_trace_max_multi(
     if power <= 0:
         raise ValueError("power budget must be positive")
 
-    scale_a = float(np.linalg.norm(a_eff))
-    scale_g = float(np.linalg.norm(g_eff))
-    if scale_a <= 1e-16 * max(scale_g, 1.0):
-        # sensing term vanishes: return the capacity water-filling point
-        g_inv_half = _inv_sqrt_psd(g_eff)
-        r_list = []
-        gains_all = [scipy.linalg.svdvals(h @ g_inv_half) ** 2 for h in h_list]
-        p_all, _ = waterfill(np.concatenate(gains_all), power, noise)
-        rate = float(np.log1p(p_all * np.concatenate(gains_all) / noise).sum() / k_sub)
-        ofs = 0
-        for h, gains in zip(h_list, gains_all):
-            _, s, vh = np.linalg.svd(h @ g_inv_half, full_matrices=False)
-            alloc = p_all[ofs : ofs + gains.size]
-            ofs += gains.size
-            basis = g_inv_half @ vh.conj().T
-            r = (basis * alloc) @ basis.conj().T
-            r_list.append(0.5 * (r + r.conj().T))
-        if rate < rate_target - 1e-9:
-            raise RateInfeasibleError(rate_target, rate)
-        used = sum(float(np.trace(g_eff @ r).real) for r in r_list)
-        return TraceMaxResult(r_list, 0.0, rate, used, 0.0, 0.0, "capacity")
-
-    lam_top, x_top = top_generalized_eig(a_eff, g_eff)
+    basis = _range_basis(g_eff)
+    a_w = basis.conj().T @ a_eff @ basis
+    lam_top, y_top = top_generalized_eig(a_w, np.eye(a_w.shape[0]))
+    x_top = basis @ y_top
 
     # branch 1: unconstrained sensing optimum (rank one, full power)
     r_sense = [np.zeros_like(a_eff) for _ in range(k_sub)]
@@ -563,7 +545,7 @@ def rate_constrained_trace_max_multi(
     if rate_target > c_max + 1e-12:
         raise RateInfeasibleError(rate_target, c_max)
 
-    duals = _DualPoints(a_eff, g_eff, h_list, noise)
+    duals = _DualPoints(a_w, basis, h_list, noise)
     lam_hi = max(lam_top, float(duals.lam[-1]))
     u_floor = math.log(max(1e-12 * max(lam_hi, 1.0), 1e-300))
     pts = {u_floor: duals.point(lam_hi + math.exp(u_floor), power)}

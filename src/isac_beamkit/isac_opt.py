@@ -7,22 +7,23 @@ across sub-carriers through the trace sum, the rate constraint averages the
 per-subcarrier log-dets, and one analog matrix serves all carriers.
 
 The rate target chooses the start and the transmit block. Without a rate
-floor the start is the given design or all-ones phases, and the transmit
-block is the closed-form sensing update of sensing_opt (exact rank-1
-optimum, phase splitting or per-entry phase alignment). With one, the start
-is rate-feasible and the transmit block is:
+floor the start is the given design or all-ones phases, and a moving
+analog matrix gets the closed-form sensing update of sensing_opt (phase
+splitting of the rank-1 optimum or per-entry phase alignment). With one
+the start is rate-feasible. Under a rate floor, or for a fully digital or
+fixed analog transmitter, the transmit block is:
 
-  * transmit analog matrix: the log-det rate constraint is replaced by its
-    weighted-MMSE surrogate (tight at the closed-form decoder/weight
-    optima); the per-subcarrier surrogates are stacked into one
-    subproblem in v = vec(V_rf), a QCQP with unit-modulus equalities.
-    Those are split into convex <= halves plus linearized >= halves with
-    slack penalties, and the resulting convex program is solved repeatedly
-    around the current point (slacks collapse to zero at a feasible
-    stationary point);
+  * transmit analog matrix, under a rate floor unless fully digital or
+    fixed: the log-det rate constraint is replaced by its weighted-MMSE
+    surrogate (tight at the closed-form decoder/weight optima); the
+    per-subcarrier surrogates are stacked into one subproblem in
+    v = vec(V_rf), a QCQP with unit-modulus equalities. Those are split
+    into convex <= halves plus linearized >= halves with slack penalties,
+    and the resulting convex program is solved repeatedly around the
+    current point (slacks collapse to zero at a feasible stationary point);
   * transmit digital covariances, one per sub-carrier: exact
     Lagrange-duality solver (cvxkit) with a power dual common to all
-    carriers.
+    carriers, on the range of the analog Gram V^H V.
 
 The receive block is the same for every rate target: closed-form per-entry
 phase alignment (partially connected) or DFT-row selection (fully
@@ -403,7 +404,7 @@ def _start_design(
             ) from None
 
 
-def _rate_tx_update(
+def _solver_tx_update(
     scenario: Scenario,
     design: HybridDesign,
     a_tilde: np.ndarray,
@@ -411,9 +412,10 @@ def _rate_tx_update(
     wmmse_rounds: int,
     sca_iters: int,
 ) -> tuple[Optional[HybridDesign], bool]:
-    """Transmit block under a rate floor: the common analog matrix via
-    stacked WMMSE/FPP-SCA rounds (skipped when the transmitter is fully
-    digital or fixed_v is set), then the exact digital re-solve.
+    """Transmit block through the digital solver: the common analog matrix
+    via stacked WMMSE/FPP-SCA rounds (skipped when the transmitter is fully
+    digital or fixed_v is set, as always without a rate floor), then the
+    exact digital re-solve.
 
     Returns (candidate, analog_failed). The candidate is None when the
     analog solver failed or the re-solve finds the rate out of reach.
@@ -483,12 +485,13 @@ def ao_isac(
 
     Blocks per outer iteration: the transmit block, then the receive update
     against the carrier-summed integral. The rate target chooses the start
-    and the transmit block (see _start_design): without a rate floor the
-    closed-form sensing update, with one the WMMSE/FPP-SCA rounds plus the
-    digital re-solve (see _rate_tx_update). n_init, wmmse_rounds and
-    sca_iters tune the latter only. Every block is committed only if the
-    PCRB does not increase and the iterate stays feasible; the loop stops
-    once an outer iteration changes the PCRB by at most tol relative.
+    (see _start_design) and, with the analog matrix, the transmit block:
+    without a rate floor a moving analog matrix gets the closed-form
+    sensing update, else the block is _solver_tx_update. n_init,
+    wmmse_rounds and sca_iters tune the rate floor only. Every block is
+    committed only if the PCRB does not increase and the iterate stays
+    feasible; the loop stops once an outer iteration changes the PCRB by
+    at most tol relative.
     fixed_v keeps the analog matrix of the start. The engine's A1 and B~
     define the objective: a surrogate-objective scheme passes its own
     engine (for example PcrbEngine.at_angle), and the trace, the start and
@@ -507,12 +510,12 @@ def ao_isac(
     for _ in range(0 if converged else max_outer):
         # --- transmit ------------------------------------------------------
         a_tilde = engine.a1_of(design.rx)
-        if scenario.rate_target > 0:
-            cand, analog_failed = _rate_tx_update(
+        if scenario.rate_target > 0 or design.v_rf is None or fixed_v:
+            cand, analog_failed = _solver_tx_update(
                 scenario, design, a_tilde, fixed_v, wmmse_rounds, sca_iters
             )
         else:
-            cand, analog_failed = _sensing_tx_update(scenario, a_tilde, design, fixed_v), False
+            cand, analog_failed = _sensing_tx_update(scenario, a_tilde, design), False
         if cand is not None:
             value = engine.pcrb(cand)
             if value <= trace[-1] * (1 + 1e-12) and feasible(scenario, cand):

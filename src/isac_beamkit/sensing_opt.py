@@ -1,15 +1,14 @@
 """Closed-form sensing blocks of the alternating optimization.
 
-Without a rate floor the objective is the angle PCRB alone, and every block
-has a closed form: the fully-digital optimum is rank one on the top
-eigenvector of the prior-weighted matrix A1; any rank-1 covariance is
-realizable with two unit-modulus analog columns (phase-splitting
-construction); and each single entry of either analog matrix has a
-closed-form phase-alignment optimum, swept cyclically. The loop that
-alternates them is isac_opt.ao_isac, which picks these transmit blocks when
-the scenario's rate target is zero; the receive blocks serve every rate
-target. The blocks take their integrals (A1, B~) as arguments; the PCRB
-that judges them is PcrbEngine.pcrb.
+Without a rate floor the objective is the angle PCRB alone, and the blocks
+that move an analog matrix have closed forms: two unit-modulus analog
+columns realize the fully-digital optimum, rank one on the top eigenvector
+of the prior-weighted matrix A1 (phase splitting), and each single entry of
+either analog matrix has a closed-form phase-alignment optimum, swept
+cyclically. isac_opt.ao_isac alternates them; it picks these transmit
+blocks at a zero rate target when the analog matrix moves, and the receive
+blocks at every rate target. The blocks take their integrals (A1, B~) as
+arguments; the PCRB that judges them is PcrbEngine.pcrb.
 """
 
 from __future__ import annotations
@@ -19,17 +18,6 @@ import numpy as np
 from .designs import HybridDesign, RxDft, RxIdentity, RxPhases, dft_matrix
 from .cvxkit import top_generalized_eig
 from .model import RxArchitecture, Scenario
-
-
-def solve_p0_fully_digital(a: np.ndarray, power: float) -> np.ndarray:
-    """Optimal transmit covariance for trace maximization under a power cap.
-
-    maximize tr(A R) s.t. tr(R) <= power, R PSD. The optimum is rank one at
-    full power on the top eigenvector of A (ties broken towards the lowest
-    coordinate, global phase fixed).
-    """
-    _, q1 = top_generalized_eig(a, np.eye(a.shape[0]))
-    return power * np.outer(q1, q1.conj())
 
 
 def hybrid_from_rank1(f: np.ndarray, n_rf_tx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,30 +109,13 @@ def _initial_r_bb(scenario: Scenario, n_cols: int) -> list[np.ndarray]:
 
 
 def _sensing_tx_update(
-    scenario: Scenario,
-    a_tilde: np.ndarray,
-    design: HybridDesign,
-    fixed_v: bool,
+    scenario: Scenario, a_tilde: np.ndarray, design: HybridDesign
 ) -> HybridDesign:
-    """Optimal transmit block for the trace objective with W fixed."""
+    """Optimal transmit block for the trace objective with W fixed and a
+    moving analog matrix: phase alignment of one chain, else phase
+    splitting of the fully-digital optimum."""
     arrays = scenario.arrays
     power = scenario.power
-    if design.v_rf is None or fixed_v:
-        v = design.v_rf
-        if v is None:
-            r = solve_p0_fully_digital(a_tilde, power)
-        else:
-            # maximize x^H V^H A V x over x^H G x = 1 (G = V^H V) on the range
-            # of G, which is rank deficient when columns of V repeat: with
-            # G = U diag(s) U^H, x = U_+ diag(s_+)^(-1/2) y and ||y|| = 1
-            s, u = np.linalg.eigh(v.conj().T @ v)
-            keep = s > 1e-10 * s[-1]
-            basis = u[:, keep] / np.sqrt(s[keep])
-            q = v @ basis
-            _, y = top_generalized_eig(q.conj().T @ a_tilde @ q, np.eye(q.shape[1]))
-            x = basis @ y
-            r = power * np.outer(x, x.conj())
-        return HybridDesign(v, (r,) + (np.zeros_like(r),) * (design.n_subcarriers - 1), design.rx)
     if arrays.n_rf_tx == 1:
         v = coordinate_update_transmit(design.v_rf[:, 0], a_tilde)
         r = np.array([[power / arrays.n_tx]], dtype=complex)

@@ -134,6 +134,17 @@ class TestRunScheme:
             rep.design.v_rf[:, 1], steering_vector(4, -0.5), atol=1e-12
         )
 
+    def test_direction_align_with_repeated_columns_is_feasible(self):
+        # seven chains steer at the user and the 4 prior means, so the user
+        # column repeats and the analog Gram is rank deficient
+        from isac_beamkit.scenarios import default_scenario
+
+        sc = default_scenario(rate_target_bits=2.0, n_rf_tx=7, seed=5)
+        rep = run_scheme(Scheme(SchemeKind.DIRECTION_ALIGN), sc)
+        assert np.linalg.matrix_rank(rep.design.v_rf) < 7
+        assert rep.feasible
+        assert rep.final_rate >= sc.rate_target - 1e-9
+
     def test_partial_prior_reports_true_pcrb(self):
         sc = rician_scenario(seed=6)
         eng = PcrbEngine(sc)

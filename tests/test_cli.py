@@ -333,6 +333,32 @@ class TestExecute:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
 
+    @pytest.mark.parametrize("field", ["subcarriers", "quadrature_points"])
+    def test_boolean_integer_field_exits_two(self, tmp_path, capsys, field):
+        doc = small_doc()
+        doc[field] = True
+        with pytest.raises(ConfigError, match=field):
+            scenario_from_dict(doc)
+        sc_path = self._write(tmp_path, doc)
+        out = tmp_path / "report.json"
+        assert execute(RunConfig("optimize-sensing", sc_path, str(out))) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {field} must be a positive integer")
+
+    def test_direction_align_sweep_with_repeated_columns(self, tmp_path):
+        # 7 chains over 4 prior components repeat the user column
+        from isac_beamkit.cli import main
+
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", os.path.join(SCENARIO_DIR, "default.json"),
+                "--var", "n_rf_tx", "--values", "7", "--budget", "8",
+                "--schemes", "direction_align", "--set", "rate_target_bits=2.0", "--out", str(out)]
+        assert main(argv) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert rows[0]["scheme"] == "direction_align" and rows[0]["feasible"] == "true"
+
     @pytest.mark.parametrize("command", ["optimize-sensing", "pcrb"])
     def test_negative_seed_override_exits_two(self, tmp_path, capsys, command):
         from isac_beamkit.cli import main

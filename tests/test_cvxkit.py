@@ -10,7 +10,6 @@ from isac_beamkit.cvxkit import (
     RateInfeasibleError,
     SolverError,
     _exact_rate,
-    _inv_sqrt_psd,
     mimo_capacity,
     rate_constrained_trace_max_multi,
     solve_convex_qcqp,
@@ -291,6 +290,13 @@ class TestWaterfill:
                 assert np.log1p(q * g / 0.7).sum() <= base + 1e-9
 
 
+def _inv_sqrt_psd(m, floor=1e-300):
+    """Hermitian inverse square root of a PSD matrix, eigenvalues floored."""
+    lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
+    lam = np.maximum(lam, floor)
+    return (vec / np.sqrt(lam)) @ vec.conj().T
+
+
 def dual_grid_oracle(a, g, h_list, power, target, noise, rounds=4, n=120):
     """Zoomed dual-grid search; independent primal lower bound.
 
@@ -406,12 +412,46 @@ class TestRateConstrainedTraceMax:
         assert res.objective == pytest.approx(lam, rel=1e-12)
         assert np.linalg.matrix_rank(res.r_single, tol=1e-12) == 1
 
-    def test_zero_sensing_matrix_waterfills(self, rng):
+    def test_zero_sensing_matrix_meets_the_rate(self, rng):
+        # with A = 0 every feasible point is optimal: the solver returns one
         _, g, h = self._instance(rng)
         cap = mimo_capacity([h], g, 1.0, 1e-12)
-        res = rate_constrained_trace_max_multi(np.zeros((3, 3)), g, [h], 1.0, 0.5 * cap, 1e-12)
-        assert res.branch == "capacity"
-        assert res.rate == pytest.approx(cap, rel=1e-12)
+        for frac in (0.5, 0.9):
+            target = frac * cap
+            res = rate_constrained_trace_max_multi(np.zeros((3, 3)), g, [h], 1.0, target, 1e-12)
+            assert res.objective == 0.0
+            assert res.rate >= target - 1e-9
+            assert _exact_rate([h], res.r_bb, 1e-12) >= target - 1e-9
+            assert res.power <= 1.0 + 1e-9
+            assert np.trace(g @ res.r_single).real <= 1.0 + 1e-9
+
+    def test_repeated_analog_column_solves_on_the_range(self, rng):
+        # an analog matrix with a repeated column radiates what its unique
+        # columns radiate: same capacity, objective and transmit covariance
+        n_tx = 8
+        v = np.exp(2j * np.pi * rng.random((n_tx, 3)))
+        v_rep = np.concatenate([v, v[:, :1]], axis=1)
+        a1 = random_psd(rng, n_tx)
+        h = 1e-6 * (rng.standard_normal((2, n_tx)) + 1j * rng.standard_normal((2, n_tx)))
+
+        def reduced(m):
+            return m.conj().T @ a1 @ m, m.conj().T @ m, [h @ m]
+
+        cap = mimo_capacity([h @ v], v.conj().T @ v, 1.0, 1e-12)
+        cap_rep = mimo_capacity([h @ v_rep], v_rep.conj().T @ v_rep, 1.0, 1e-12)
+        assert cap_rep == pytest.approx(cap, rel=1e-12)
+        branches = set()
+        for frac in (0.0, 0.6, 0.9):
+            res = rate_constrained_trace_max_multi(*reduced(v), 1.0, frac * cap, 1e-12)
+            res_rep = rate_constrained_trace_max_multi(*reduced(v_rep), 1.0, frac * cap, 1e-12)
+            assert res_rep.branch == res.branch
+            branches.add(res.branch)
+            assert res_rep.objective == pytest.approx(res.objective, rel=1e-12)
+            tx = v @ res.r_single @ v.conj().T
+            tx_rep = v_rep @ res_rep.r_single @ v_rep.conj().T
+            assert np.linalg.norm(tx_rep - tx) <= 1e-12 * np.linalg.norm(tx)
+            assert res_rep.rate >= frac * cap - 1e-9
+        assert branches == {"sensing", "dual"}
 
     def test_infeasible_target_reported(self, rng):
         a, g, h = self._instance(rng)

@@ -87,9 +87,11 @@ class TestOptimalRbb:
         v = random_phases(rng, (4, 2))
         h = sc.channel.h
         cap = mimo_capacity([h @ v], v.conj().T @ v, sc.power, sc.noise_comm)
+        # with A = 0 every feasible point is optimal: the solver returns one
         res = digital_stage(sc, np.zeros((4, 4)), v, 0.5 * cap)
-        assert res.branch == "capacity"
-        assert res.rate == pytest.approx(cap, rel=1e-10)
+        assert res.objective == 0.0
+        assert res.rate >= 0.5 * cap - 1e-9
+        assert achieved_rate(sc, HybridDesign(v, tuple(res.r_bb), RxIdentity())) >= 0.5 * cap - 1e-9
         assert res.power <= sc.power + 1e-8
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isac_beamkit.cvxkit import rate_constrained_trace_max_multi
 from isac_beamkit.designs import HybridDesign, RxIdentity, RxPhases
 from isac_beamkit.model import GmmAnglePrior, RxArchitecture, steering_block
 from isac_beamkit.pcrb import PcrbEngine
@@ -11,7 +12,6 @@ from isac_beamkit.sensing_opt import (
     dft_select_fc,
     hybrid_from_rank1,
     receive_quadratic,
-    solve_p0_fully_digital,
 )
 
 from conftest import make_scenario, random_phases, random_psd
@@ -20,6 +20,14 @@ from conftest import make_scenario, random_phases, random_psd
 def random_hermitian(rng, n):
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (x + x.conj().T)
+
+
+def solve_p0_fully_digital(a, power):
+    """The digital solver at zero rate for a fully-digital transmitter (G = I)."""
+    n = a.shape[0]
+    res = rate_constrained_trace_max_multi(a, np.eye(n), [np.zeros((1, n))], power, 0.0, 1.0)
+    assert res.branch == "sensing"
+    return res.r_single
 
 
 class TestFullyDigital:
