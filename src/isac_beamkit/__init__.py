@@ -58,9 +58,7 @@ from .sensing_opt import (
 )
 from .isac_opt import (
     WmmseAux,
-    ao_p0,
-    ao_p1,
-    ao_p2,
+    ao_isac,
     fpp_sca_vrf,
     init_random_phase,
     wmmse_update,

@@ -11,7 +11,11 @@ Scheme catalogue (sensing-only when the scenario's rate target is zero):
   partial_prior     runs the AO with the engine collapsed onto the most
                     probable angle (PcrbEngine.at_angle), i.e. optimizes the
                     point CRB there, and is scored by the true PCRB
-  proposed          the alternating optimizer of this package
+  proposed          the alternating optimizer of this package (ao_isac)
+
+Every scheme but fully_digital and random_phase:N runs isac_opt.ao_isac,
+for any rate target and any number of sub-carriers, with run_scheme's
+ao_options.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .cvxkit import RateInfeasibleError
 from .designs import AoReport, HybridDesign, RxIdentity, default_rx, digital_factor
-from .isac_opt import _optimal_rbb_design, ao_p1, ao_p2, design_report, init_random_phase
+from .isac_opt import _optimal_rbb_design, ao_isac, design_report, init_random_phase
 from .model import (
     ModelError,
     RicianChannelSpec,
@@ -118,15 +122,6 @@ def _alignment_matrix(scenario: Scenario) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _dispatch_ao(scenario: Scenario, engine: PcrbEngine, ao_options: dict, **start) -> AoReport:
-    """ao_p2 for OFDM, ao_p1 for narrowband, at any rate target.
-
-    start holds a scheme's init_design or fixed_v.
-    """
-    optimize = ao_p2 if scenario.subcarriers > 1 else ao_p1
-    return optimize(scenario, engine, **start, **ao_options)
-
-
 def run_scheme(
     scheme: Scheme,
     scenario: Scenario,
@@ -154,10 +149,10 @@ def run_scheme(
 
     if scheme.kind is SchemeKind.FD_RECEIVE:
         sc = _fully_digital_scenario(scenario, scenario.arrays.n_rf_tx)
-        return _dispatch_ao(sc, engine.for_scenario(sc), ao_options)
+        return ao_isac(sc, engine.for_scenario(sc), **ao_options)
 
     if scheme.kind is SchemeKind.PROPOSED:
-        return _dispatch_ao(scenario, engine, ao_options)
+        return ao_isac(scenario, engine, **ao_options)
 
     if scheme.kind is SchemeKind.RANDOM_PHASE:
         design = init_random_phase(scenario, scheme.n_rand, scenario.seed, engine)
@@ -171,17 +166,17 @@ def run_scheme(
         k = sc.subcarriers
         r0 = [np.eye(arrays.n_tx, dtype=complex) * (sc.power / arrays.n_tx / k)] * k
         init = HybridDesign(None, tuple(r0), default_rx(fd_tx))
-        return _dispatch_ao(sc, eng, ao_options, init_design=init)
+        return ao_isac(sc, eng, init_design=init, **ao_options)
 
     if scheme.kind is SchemeKind.DIRECTION_ALIGN:
         arrays = scenario.arrays
         r0 = _initial_r_bb(scenario, arrays.n_rf_tx)
         init = HybridDesign(_alignment_matrix(scenario), tuple(r0), default_rx(arrays))
-        return _dispatch_ao(scenario, engine, ao_options, init_design=init, fixed_v=True)
+        return ao_isac(scenario, engine, init_design=init, fixed_v=True, **ao_options)
 
     if scheme.kind is SchemeKind.PARTIAL_PRIOR:
         theta_max = scenario.angle_prior.most_probable_angle()
-        rep = _dispatch_ao(scenario, engine.at_angle(theta_max), ao_options)
+        rep = ao_isac(scenario, engine.at_angle(theta_max), **ao_options)
         return replace(rep, final_pcrb=engine.pcrb(rep.design))
 
     raise SchemeError(f"unknown scheme {scheme!r}")

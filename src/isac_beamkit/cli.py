@@ -62,7 +62,7 @@ from .bench import (
 )
 from .cvxkit import RateInfeasibleError, SolverError
 from .designs import HybridDesign, RxDft, RxIdentity, RxPhases
-from .isac_opt import ao_p0, ao_p1, ao_p2
+from .isac_opt import ao_isac
 from .model import (
     ArrayConfig,
     GmmAnglePrior,
@@ -478,15 +478,11 @@ def _cmd_pcrb(cfg: RunConfig, scenario: Scenario) -> int:
 
 
 def _cmd_optimize(cfg: RunConfig, scenario: Scenario) -> int:
-    engine = PcrbEngine(scenario)
     if cfg.command == "optimize-sensing":
-        rep = ao_p0(scenario, engine)
-    elif cfg.command == "optimize-isac":
-        if scenario.subcarriers != 1:
-            raise ConfigError("optimize-isac needs a narrowband scenario")
-        rep = ao_p1(scenario, engine)
-    else:
-        rep = ao_p2(scenario, engine)
+        scenario = scenario.replace(rate_target=0.0)
+    elif cfg.command == "optimize-isac" and scenario.subcarriers != 1:
+        raise ConfigError("optimize-isac needs a narrowband scenario")
+    rep = ao_isac(scenario)
     _emit_json(_report_doc(scenario, rep), cfg.out_path)
     return 0
 

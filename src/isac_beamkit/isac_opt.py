@@ -2,9 +2,10 @@
 
 Narrowband is the wideband OFDM problem with one sub-carrier, and the
 sensing-only problem is the one with a zero rate target, so one alternating
-optimization (ao_isac) serves all of them. The angle information adds
-across sub-carriers through the trace sum, the rate constraint averages the
-per-subcarrier log-dets, and one analog matrix serves all carriers.
+optimization, ao_isac, is the only optimizer entry for all of them. The
+angle information adds across sub-carriers through the trace sum, the rate
+constraint averages the per-subcarrier log-dets, and one analog matrix
+serves all carriers.
 
 The rate target chooses the start and the transmit block. Without a rate
 floor the start is the given design or all-ones phases, and a moving
@@ -474,33 +475,74 @@ def ao_isac(
     engine: Optional[PcrbEngine] = None,
     *,
     n_init: int = 32,
-    max_outer: int = 15,
+    max_outer: Optional[int] = None,
     wmmse_rounds: int = 2,
     sca_iters: int = 5,
     tol: float = 1e-8,
     init_design: Optional[HybridDesign] = None,
     fixed_v: bool = False,
+    restarts: int = 0,
 ) -> AoReport:
-    """Alternating optimization for any rate target and any K.
+    """Alternating optimization for any rate target and any K; the one
+    optimizer entry (sensing-only is a zero rate target, narrowband K = 1).
 
     Blocks per outer iteration: the transmit block, then the receive update
     against the carrier-summed integral. The rate target chooses the start
     (see _start_design) and, with the analog matrix, the transmit block:
     without a rate floor a moving analog matrix gets the closed-form
     sensing update, else the block is _solver_tx_update. n_init,
-    wmmse_rounds and sca_iters tune the rate floor only. Every block is
-    committed only if the PCRB does not increase and the iterate stays
-    feasible; the loop stops once an outer iteration changes the PCRB by
-    at most tol relative.
+    wmmse_rounds and sca_iters tune the rate floor only; max_outer=None
+    allows 200 outer iterations without a rate floor and 15 with one. Every
+    block is committed only if the PCRB does not increase and the iterate
+    stays feasible; the loop stops once an outer iteration changes the PCRB
+    by at most tol relative.
     fixed_v keeps the analog matrix of the start. The engine's A1 and B~
     define the objective: a surrogate-objective scheme passes its own
     engine (for example PcrbEngine.at_angle), and the trace, the start and
     final_pcrb then all use that objective.
+
+    restarts > 0 additionally runs the loop from that many seeded
+    random-phase starts and keeps the best final PCRB. A restart replaces
+    only the start (with fixed_v, each start keeps its own analog matrix),
+    so restarts cannot be combined with init_design. Under a rate floor the
+    start is already the best of n_init seeded random-phase draws, and
+    restarts are refused.
     """
-    t_start = time.perf_counter()
+    rate_floor = scenario.rate_target > 0
+    if restarts > 0 and init_design is not None:
+        raise ValueError("restarts replace the start design; give init_design or restarts")
+    if restarts > 0 and rate_floor:
+        raise ValueError(
+            "restarts need a zero rate target; under a rate floor n_init sets the start draws"
+        )
     if engine is None:
         engine = PcrbEngine(scenario)
+    if max_outer is None:
+        max_outer = 15 if rate_floor else 200
+    starts = [init_design]
+    if restarts > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(0xA0,)))
+        starts += [random_sensing_design(scenario, rng) for _ in range(restarts)]
+    runs = (
+        _ao_run(scenario, engine, start, n_init, max_outer, wmmse_rounds, sca_iters, tol, fixed_v)
+        for start in starts
+    )
+    return min(runs, key=lambda rep: rep.final_pcrb)
 
+
+def _ao_run(
+    scenario: Scenario,
+    engine: PcrbEngine,
+    init_design: Optional[HybridDesign],
+    n_init: int,
+    max_outer: int,
+    wmmse_rounds: int,
+    sca_iters: int,
+    tol: float,
+    fixed_v: bool,
+) -> AoReport:
+    """One run of the alternating optimization from one start (ao_isac)."""
+    t_start = time.perf_counter()
     design = _start_design(scenario, engine, n_init, init_design)
     current = engine.pcrb(design)
     trace = [current]
@@ -537,75 +579,3 @@ def ao_isac(
             break
 
     return design_report(scenario, engine, design, t_start, trace, converged)
-
-
-def ao_p0(
-    scenario: Scenario,
-    engine: Optional[PcrbEngine] = None,
-    *,
-    max_outer: int = 200,
-    tol: float = 1e-8,
-    restarts: int = 0,
-    init_design: Optional[HybridDesign] = None,
-    **kw,
-) -> AoReport:
-    """Sensing-only alternating optimization: ao_isac without the rate floor.
-
-    The run starts from init_design or the deterministic all-ones phases;
-    kw takes ao_isac's other options. restarts > 0 additionally runs the
-    loop from that many seeded random-phase starts and keeps the best final
-    PCRB. A restart replaces only the start (with fixed_v, each start keeps
-    its own analog matrix), so restarts cannot be combined with init_design.
-    """
-    if restarts > 0 and init_design is not None:
-        raise ValueError("restarts replace the start design; give init_design or restarts")
-    scenario = scenario.replace(rate_target=0.0)
-    if engine is None:
-        engine = PcrbEngine(scenario)
-    best = ao_isac(scenario, engine, max_outer=max_outer, tol=tol, init_design=init_design, **kw)
-    if restarts > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(0xA0,)))
-        for _ in range(restarts):
-            cand = ao_isac(
-                scenario,
-                engine,
-                max_outer=max_outer,
-                tol=tol,
-                init_design=random_sensing_design(scenario, rng),
-                **kw,
-            )
-            if cand.final_pcrb < best.final_pcrb:
-                best = cand
-    return best
-
-
-def ao_p1(
-    scenario: Scenario,
-    engine: Optional[PcrbEngine] = None,
-    **kw,
-) -> AoReport:
-    """Narrowband alternating optimization: ao_isac on one sub-carrier.
-
-    A zero rate target runs ao_p0 with every option given.
-    """
-    if scenario.subcarriers != 1:
-        raise ValueError("ao_p1 expects a narrowband scenario (1 sub-carrier)")
-    if scenario.rate_target <= 0:
-        return ao_p0(scenario, engine, **kw)
-    return ao_isac(scenario, engine, **kw)
-
-
-def ao_p2(
-    scenario: Scenario,
-    engine: Optional[PcrbEngine] = None,
-    **kw,
-) -> AoReport:
-    """OFDM alternating optimization: ao_isac for any number of carriers.
-
-    Under a rate floor its defaults differ from ao_isac's: max_outer=10 and
-    sca_iters=4 unless given. A zero rate target runs ao_p0 with every
-    option given.
-    """
-    if scenario.rate_target <= 0:
-        return ao_p0(scenario, engine, **kw)
-    return ao_isac(scenario, engine, **{"max_outer": 10, "sca_iters": 4, **kw})

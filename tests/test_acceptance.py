@@ -26,7 +26,7 @@ from isac_beamkit.bench import (
 )
 from isac_beamkit.cvxkit import mimo_capacity, rate_constrained_trace_max_multi
 from isac_beamkit.designs import HybridDesign, RxPhases, dft_matrix
-from isac_beamkit.isac_opt import ao_isac, ao_p0, ao_p1, ao_p2, wmmse_update
+from isac_beamkit.isac_opt import ao_isac, wmmse_update
 from isac_beamkit.model import GmmAnglePrior, RxArchitecture, steering_block
 from isac_beamkit.pcrb import PcrbEngine, assemble_pfim, fim_oracle
 from isac_beamkit.sensing_opt import dft_select_fc
@@ -85,7 +85,7 @@ class TestCriterion2:
                 quadrature_points=512,
             )
             eng = PcrbEngine(sc)
-            rep = ao_p0(sc, eng)
+            rep = ao_isac(sc, eng)
             lam = np.linalg.eigvalsh(eng.a1(np.eye(4)))[-1]
             best = 1.0 / (eng.f_p_theta + eng.info_coefficient(1.0) * sc.power * lam)
             assert abs(rep.final_pcrb - best) <= 1e-9 * best
@@ -135,7 +135,7 @@ class TestCriterion4:
             sc = make_scenario(
                 n_tx=3, n_rx=4, n_rf_tx=1, n_rf_rx=2, seed=seed, quadrature_points=256
             )
-            assert monotone(ao_p0(sc).trace)
+            assert monotone(ao_isac(sc).trace)
         from test_isac_opt import feasible_rate_scenario
 
         for seed in range(100):
@@ -143,7 +143,7 @@ class TestCriterion4:
                 seed=seed, n_tx=3, n_rx=2, n_user=2, n_rf_tx=2, n_rf_rx=2,
                 frac=0.6, quadrature_points=256,
             )
-            rep = ao_p1(sc, n_init=3, max_outer=3, wmmse_rounds=1, sca_iters=3)
+            rep = ao_isac(sc, n_init=3, max_outer=3, wmmse_rounds=1, sca_iters=3)
             assert monotone(rep.trace)
         from test_ofdm_opt import ofdm_feasible_scenario
 
@@ -152,7 +152,7 @@ class TestCriterion4:
                 seed=seed, k=2, n_tx=3, n_rx=2, n_user=2, n_rf_tx=2, n_rf_rx=2,
                 frac=0.55, quadrature_points=256,
             )
-            rep = ao_p2(sc, n_init=3, max_outer=3, wmmse_rounds=1, sca_iters=3)
+            rep = ao_isac(sc, n_init=3, max_outer=3, wmmse_rounds=1, sca_iters=3)
             assert monotone(rep.trace)
         report(4, f"300 AO traces (sensing / narrowband / OFDM) weakly "
                   f"decreasing within 1e-10 ({time.perf_counter()-t0:.0f}s)")
@@ -222,7 +222,7 @@ class TestCriterion8:
             n_tx=2, n_rx=4, n_rf_tx=1, n_rf_rx=2, seed=11, quadrature_points=512
         )
         eng = PcrbEngine(sc)
-        rep = ao_p0(sc, eng, restarts=4)
+        rep = ao_isac(sc, eng, restarts=4)
         k = 12
         alphabet = np.exp(2j * np.pi * np.arange(k) / k)
         # node sums over the engine's grid
@@ -327,7 +327,7 @@ class TestCriterion9:
             sc = bk.sensing_scenario(
                 n_rf_tx=n_tx_rf, n_rf_rx=budget - n_tx_rf, quadrature_points=1024
             )
-            sense_pcrb[n_tx_rf] = ao_p0(sc).final_pcrb
+            sense_pcrb[n_tx_rf] = ao_isac(sc).final_pcrb
         best_alloc = min(sense_pcrb, key=sense_pcrb.get)
         assert best_alloc == 2
         report("9b-sensing", f"sensing-only optimum at n_rf_tx=2 "
@@ -415,7 +415,7 @@ class TestCriterion9:
 class TestCriterion10:
     def test_power_focusing(self):
         sc = bk.sensing_scenario(quadrature_points=1024)
-        rep = ao_p0(sc)
+        rep = ao_isac(sc)
         thetas, power = power_pattern(sc, rep.design)
         mass = pattern_mass_near_prior(thetas, power, sc.angle_prior)
         # 0.6 is an artifact-defined operationalization of the focusing

@@ -347,10 +347,10 @@ class TestPowerPattern:
         # the 60% threshold is calibrated at the reference array scale; small
         # arrays have beams too wide for a +-3 sigma window
         import isac_beamkit as bk
-        from isac_beamkit.isac_opt import ao_p0
+        from isac_beamkit.isac_opt import ao_isac
 
         sc = bk.sensing_scenario(quadrature_points=1024)
-        rep = ao_p0(sc)
+        rep = ao_isac(sc)
         thetas, power = power_pattern(sc, rep.design)
         mass = pattern_mass_near_prior(thetas, power, sc.angle_prior)
         assert mass >= 0.6

@@ -163,6 +163,21 @@ class TestExecute:
         trace = doc["objective_trace"]
         assert all(trace[i + 1] <= trace[i] * (1 + 1e-10) for i in range(len(trace) - 1))
 
+    def test_optimize_sensing_reports_the_zero_target_it_solved(self, tmp_path):
+        # the scenario's rate target is out of reach; sensing-only ignores it
+        # and reports the zero target its run used
+        doc = small_doc()
+        ref_path = self._write(tmp_path, doc, "zero.json")
+        doc["rate_target_bits"] = 80.0
+        sc_path = self._write(tmp_path, doc)
+        out, ref = tmp_path / "report.json", tmp_path / "ref.json"
+        assert execute(RunConfig("optimize-sensing", sc_path, str(out))) == 0
+        assert execute(RunConfig("optimize-sensing", ref_path, str(ref))) == 0
+        rep = json.load(open(out))
+        assert rep["rate_target_nats"] == 0.0
+        assert rep["feasible"] is True
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_pcrb_command_round_trip(self, tmp_path):
         sc_path = self._write(tmp_path, small_doc())
         out = tmp_path / "report.json"

@@ -1,15 +1,18 @@
-"""Every demo compiles and every name it takes from isac_beamkit exists.
+"""Every demo compiles and every name it takes from isac_beamkit exists, and
+the README's library quick start runs.
 
 The demos run for minutes, so they are parsed, not executed.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -41,3 +44,11 @@ def test_demo_imports_resolve(path):
         ):
             module = aliases[node.value.id]
             assert hasattr(module, node.attr), f"{module.__name__}.{node.attr}"
+
+
+def test_readme_quick_start_runs():
+    # a public name deleted from the package must not stay in the docs
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

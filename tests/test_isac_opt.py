@@ -15,9 +15,6 @@ from isac_beamkit.isac_opt import (
     _optimal_rbb_design,
     _vec,
     ao_isac,
-    ao_p0,
-    ao_p1,
-    ao_p2,
     fpp_sca_vrf,
     init_random_phase,
     wmmse_update,
@@ -350,22 +347,28 @@ class TestRandomPhaseSkip:
 
 class TestAoP1:
     def test_zero_rate_target_delegates_to_sensing(self):
+        # without a rate floor the default budget is 200 outer iterations;
+        # at tol=1e-14 this scenario runs 28, more than the rate-floor 15
         sc = make_scenario(seed=11, rate_target=0.0)
         eng = PcrbEngine(sc)
-        rep = ao_p1(sc, eng)
-        ref = ao_p0(sc, eng)
-        assert rep.final_pcrb == pytest.approx(ref.final_pcrb, rel=1e-12)
+        for tol in (1e-8, 1e-14):
+            rep = ao_isac(sc, eng, tol=tol)
+            ref = ao_isac(sc, eng, tol=tol, max_outer=200)
+            assert rep.trace == ref.trace
+            assert np.array_equal(rep.design.v_rf, ref.design.v_rf)
+        assert len(rep.trace) - 1 > 15
 
     def test_zero_rate_target_forwards_sensing_options(self):
-        # both public names hand max_outer, tol and restarts to the sensing
-        # loop, which runs 14 outer iterations on this scenario by default
-        for optimize, k in ((ao_p1, 1), (ao_p2, 1), (ao_p2, 2)):
+        # max_outer, tol and restarts act on the sensing loop, which runs 14
+        # outer iterations on this scenario by default; n_init and sca_iters
+        # tune the rate floor only
+        for k in (1, 2):
             sc = make_scenario(seed=1, subcarriers=k)
             eng = PcrbEngine(sc)
-            rep = optimize(sc, eng, max_outer=1)
+            rep = ao_isac(sc, eng, max_outer=1)
             assert len(rep.trace) <= 2
-            ref = ao_p0(sc, eng, max_outer=1, tol=1e-6, restarts=2)
-            rep = optimize(sc, eng, max_outer=1, tol=1e-6, restarts=2, n_init=3, sca_iters=2)
+            ref = ao_isac(sc, eng, max_outer=1, tol=1e-6, restarts=2)
+            rep = ao_isac(sc, eng, max_outer=1, tol=1e-6, restarts=2, n_init=3, sca_iters=2)
             assert rep.trace == ref.trace
             assert rep.final_pcrb == ref.final_pcrb
 
@@ -375,34 +378,53 @@ class TestAoP1:
         v = random_phases(np.random.default_rng(4), (arrays.n_tx, arrays.n_rf_tx))
         r0 = np.eye(arrays.n_rf_tx, dtype=complex) * sc.power / (arrays.n_tx * arrays.n_rf_tx)
         d = HybridDesign(v, (r0,), RxPhases(np.ones(arrays.n_rx, dtype=complex)))
-        rep = ao_p1(sc, PcrbEngine(sc), init_design=d, fixed_v=True)
+        rep = ao_isac(sc, PcrbEngine(sc), init_design=d, fixed_v=True)
         assert np.array_equal(rep.design.v_rf, d.v_rf)
         assert rep.final_pcrb < PcrbEngine(sc).pcrb(d)
 
-    def test_zero_rate_ao_isac_is_ao_p0(self):
-        for k in (1, 2):
-            sc = make_scenario(seed=6, subcarriers=k)
+    def test_rate_floor_default_allows_15_outer_iterations(self):
+        # under a rate floor, at K = 1 and K = 2 alike, the default budget is
+        # 15 outer iterations of 5 SCA iterations each; these runs hit the cap
+        for sc in (
+            feasible_rate_scenario(seed=2, n_tx=4, n_rx=4, n_rf_tx=2, n_rf_rx=2),
+            feasible_rate_scenario(seed=2, n_tx=4, n_rx=4, n_rf_tx=2, n_rf_rx=2, subcarriers=2),
+        ):
             eng = PcrbEngine(sc)
-            rep = ao_isac(sc, eng, max_outer=7, tol=1e-10)
-            ref = ao_p0(sc, eng, max_outer=7, tol=1e-10)
+            rep = ao_isac(sc, eng, n_init=4)
+            ref = ao_isac(sc, eng, n_init=4, max_outer=15, sca_iters=5)
             assert rep.trace == ref.trace
             assert np.array_equal(rep.design.v_rf, ref.design.v_rf)
+            assert len(rep.trace) - 1 == 15
 
     def test_restarts_refused_with_init_design(self):
         # restarts replace the start, so a given start cannot also be kept
         sc = make_scenario(seed=4)
-        d = ao_p0(sc, max_outer=1).design
+        d = ao_isac(sc, max_outer=1).design
         with pytest.raises(ValueError, match="restarts"):
-            ao_p1(sc, init_design=d, fixed_v=True, restarts=1)
+            ao_isac(sc, init_design=d, fixed_v=True, restarts=1)
         # without a given start each restart keeps its own analog matrix;
         # the all-ones start has a rank-1 Gram matrix with two chains
         sc = make_scenario(seed=4)
-        rep = ao_p0(sc, fixed_v=True, restarts=2)
+        rep = ao_isac(sc, fixed_v=True, restarts=2)
         rng = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(0xA0,)))
         starts = [np.ones((4, 2), dtype=complex)] + [
             random_sensing_design(sc, rng).v_rf for _ in range(2)
         ]
         assert any(np.array_equal(rep.design.v_rf, v) for v in starts)
+
+    def test_restarts_refused_under_rate_floor(self, monkeypatch):
+        # random-phase restarts are rate-free starts; under a rate floor they
+        # are refused before any digital solve, from the library and a scheme
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before refusing restarts")
+
+        monkeypatch.setattr(isac_opt, "_optimal_rbb_design", no_solve)
+        sc = default_scenario()
+        assert sc.rate_target > 0
+        with pytest.raises(ValueError, match="restarts"):
+            ao_isac(sc, restarts=1)
+        with pytest.raises(ValueError, match="restarts"):
+            bench.run_scheme(bench.Scheme.parse("proposed"), sc, ao_options={"restarts": 1})
 
     def test_identities_match_convex_optimum(self):
         sc = feasible_rate_scenario(
@@ -425,7 +447,7 @@ class TestAoP1:
     def test_feasibility_and_monotonicity(self):
         for seed in range(3):
             sc = feasible_rate_scenario(seed=seed, n_tx=4, n_rx=4, n_rf_tx=2, n_rf_rx=2)
-            rep = ao_p1(sc, n_init=6, max_outer=6)
+            rep = ao_isac(sc, n_init=6, max_outer=6)
             t = rep.trace
             assert all(t[i + 1] <= t[i] * (1 + 1e-10) for i in range(len(t) - 1))
             assert rep.feasible
@@ -436,7 +458,7 @@ class TestAoP1:
     def test_scale_invariance_of_rate_and_pcrb(self):
         # scaling H and the comm noise std by the same factor changes nothing
         sc = feasible_rate_scenario(seed=13, n_tx=4, n_rf_tx=2)
-        rep1 = ao_p1(sc, n_init=4, max_outer=4)
+        rep1 = ao_isac(sc, n_init=4, max_outer=4)
         from isac_beamkit.model import NarrowbandChannel
 
         c = 3.7
@@ -444,7 +466,7 @@ class TestAoP1:
             channel=NarrowbandChannel(sc.channel.h * c),
             noise_comm=sc.noise_comm * c * c,
         )
-        rep2 = ao_p1(sc2, n_init=4, max_outer=4)
+        rep2 = ao_isac(sc2, n_init=4, max_outer=4)
         assert rep2.final_rate == pytest.approx(rep1.final_rate, rel=1e-8, abs=1e-8)
         assert rep2.final_pcrb == pytest.approx(rep1.final_pcrb, rel=1e-8)
 
@@ -498,7 +520,7 @@ class TestAoP1:
         pcrbs = []
         for frac in (0.3, 0.9, 0.98):
             sc = sc0.replace(rate_target=frac * cap)
-            pcrbs.append(ao_p1(sc, n_init=16, max_outer=8).final_pcrb)
+            pcrbs.append(ao_isac(sc, n_init=16, max_outer=8).final_pcrb)
         # weakly increasing up to the local-optimizer jitter; the high target
         # must cost the sensing objective visibly
         assert pcrbs[0] <= pcrbs[1] * (1 + 2e-3)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from isac_beamkit.bench import Scheme, run_scheme
 from isac_beamkit.cvxkit import mimo_capacity
 from isac_beamkit.designs import HybridDesign, RxPhases, digital_factor
-from isac_beamkit.isac_opt import _vec, ao_isac, ao_p0, ao_p1, ao_p2, fpp_sca_vrf, init_random_phase, wmmse_update
+from isac_beamkit.isac_opt import _vec, ao_isac, fpp_sca_vrf, init_random_phase, wmmse_update
 from isac_beamkit.model import WidebandChannel
 from isac_beamkit.pcrb import PcrbEngine, fim_oracle
 
@@ -131,18 +132,21 @@ class TestAnalogStage:
 
 class TestAoP2:
     def test_k1_delegates(self):
+        # narrowband is OFDM with one carrier: the same channel given as a
+        # one-carrier wideband channel runs the same optimization
         sc = ofdm_feasible_scenario(seed=10, k=1)
         opts = dict(n_init=4, max_outer=3, wmmse_rounds=2, sca_iters=5)
-        rep2 = ao_p2(sc, **opts)
-        rep1 = ao_p1(sc, **opts)
+        rep2 = ao_isac(sc.replace(channel=WidebandChannel((sc.channel.h,))), **opts)
+        rep1 = ao_isac(sc, **opts)
         assert rep2.final_pcrb == pytest.approx(rep1.final_pcrb, rel=1e-12)
 
     def test_k1_forwards_every_option(self):
+        # the proposed scheme hands every AO option to ao_isac unchanged
         sc = feasible_rate_scenario(seed=2, n_tx=4, n_rx=4, n_rf_tx=2, n_rf_rx=2)
         eng = PcrbEngine(sc)
         opts = dict(n_init=4, max_outer=3, wmmse_rounds=2, sca_iters=3, fixed_v=True)
         start = init_random_phase(sc, 4, sc.seed, eng)
-        rep2 = ao_p2(sc, eng, **opts)
+        rep2 = run_scheme(Scheme.parse("proposed"), sc, eng, opts)
         ref = ao_isac(sc, eng, **opts)
         assert rep2.final_pcrb == ref.final_pcrb
         assert rep2.trace == ref.trace
@@ -161,7 +165,7 @@ class TestAoP2:
         # one A1 per random draw: its PCRB reuses the A1 of its digital solve
         assert len(calls) == 3
         calls.clear()
-        rep = ao_p2(sc, eng, init_design=start, max_outer=0)
+        rep = ao_isac(sc, eng, init_design=start, max_outer=0, sca_iters=4)
         # the start design's objective; the final PCRB reuses its A1
         assert len(calls) == 1
         assert rep.trace == [eng.pcrb(start)]
@@ -169,14 +173,14 @@ class TestAoP2:
     def test_zero_rate_target_matches_sensing(self):
         sc = make_scenario(seed=11, subcarriers=2, rate_target=0.0)
         eng = PcrbEngine(sc)
-        rep = ao_p2(sc, eng)
-        ref = ao_p0(sc, eng)
+        rep = ao_isac(sc, eng)
+        ref = ao_isac(sc, eng, max_outer=200)
         assert rep.final_pcrb == pytest.approx(ref.final_pcrb, rel=1e-12)
 
     def test_feasibility_and_monotone_trace(self):
         for seed in range(2):
             sc = ofdm_feasible_scenario(seed=seed, k=3, frac=0.6)
-            rep = ao_p2(sc, n_init=6, max_outer=4)
+            rep = ao_isac(sc, n_init=6, max_outer=4, sca_iters=4)
             t = rep.trace
             assert all(t[i + 1] <= t[i] * (1 + 1e-10) for i in range(len(t) - 1))
             assert rep.feasible
@@ -207,8 +211,8 @@ class TestAoP2:
         init_nb = HybridDesign(v0, (np.eye(arrays.n_rf_tx, dtype=complex) * scale_nb,), rx0)
         scale_k = sc_ofdm.power / (arrays.n_tx * arrays.n_rf_tx * k)
         init_k = HybridDesign(v0, (np.eye(arrays.n_rf_tx, dtype=complex) * scale_k,) * k, rx0)
-        rep2 = ao_p2(sc_ofdm, init_design=init_k, max_outer=40, wmmse_rounds=2,
-                     sca_iters=10, tol=1e-10)
+        rep2 = ao_isac(sc_ofdm, init_design=init_k, max_outer=40, wmmse_rounds=2,
+                       sca_iters=10, tol=1e-10)
         rep1 = ao_isac(sc_equiv, init_design=init_nb, max_outer=40, wmmse_rounds=2,
                        sca_iters=10, tol=1e-10)
         assert rep2.final_pcrb == pytest.approx(rep1.final_pcrb, rel=1e-4)
@@ -224,7 +228,7 @@ class TestAoP2:
         monkeypatch.setattr(isac_opt, "fpp_sca_vrf", failing_sca)
         sc = ofdm_feasible_scenario(seed=3, k=2, n_tx=3, n_rx=2, n_rf_tx=2, n_rf_rx=2)
         start = init_random_phase(sc, 3, sc.seed)
-        rep = ao_p2(sc, n_init=3, max_outer=5)
+        rep = ao_isac(sc, n_init=3, max_outer=5, sca_iters=4)
         assert np.array_equal(rep.design.v_rf, start.v_rf)
         assert not rep.converged
 
@@ -236,5 +240,5 @@ class TestAoP2:
         pcrbs = []
         for frac in (0.3, 0.7):
             sc = sc0.replace(rate_target=frac * cap)
-            pcrbs.append(ao_p2(sc, n_init=6, max_outer=3).final_pcrb)
+            pcrbs.append(ao_isac(sc, n_init=6, max_outer=3, sca_iters=4).final_pcrb)
         assert pcrbs[0] <= pcrbs[1] * (1 + 1e-9)

@@ -5,7 +5,7 @@ from isac_beamkit.cvxkit import rate_constrained_trace_max_multi
 from isac_beamkit.designs import HybridDesign, RxIdentity, RxPhases
 from isac_beamkit.model import GmmAnglePrior, RxArchitecture, steering_block
 from isac_beamkit.pcrb import PcrbEngine
-from isac_beamkit.isac_opt import ao_p0
+from isac_beamkit.isac_opt import ao_isac
 from isac_beamkit.sensing_opt import (
     coordinate_update_receive,
     coordinate_update_transmit,
@@ -174,7 +174,7 @@ class TestAoP0:
             sc = make_scenario(n_tx=6, n_rx=4, n_rf_tx=2, n_rf_rx=4,
                                arch=RxArchitecture.FULLY_DIGITAL, prior=prior, seed=seed)
             eng = PcrbEngine(sc)
-            rep = ao_p0(sc, eng)
+            rep = ao_isac(sc, eng)
             a = eng.a1(np.eye(4))
             lam = np.linalg.eigvalsh(a)[-1]
             best = 1.0 / (eng.f_p_theta + eng.info_coefficient(1.0) * sc.power * lam)
@@ -183,7 +183,7 @@ class TestAoP0:
     def test_zero_power(self):
         sc = make_scenario(power=0.0)
         eng = PcrbEngine(sc)
-        rep = ao_p0(sc, eng)
+        rep = ao_isac(sc, eng)
         assert len(rep.trace) == 1
         assert rep.final_pcrb == pytest.approx(1.0 / eng.f_p_theta)
 
@@ -193,7 +193,7 @@ class TestAoP0:
         calls = []
         a1 = PcrbEngine.a1
         monkeypatch.setattr(PcrbEngine, "a1", lambda self, w: calls.append(1) or a1(self, w))
-        rep = ao_p0(sc, eng)
+        rep = ao_isac(sc, eng)
         # the start design and one per receive matrix the loop makes; the
         # transmit block and the final PCRB reuse the last one
         assert len(rep.trace) > 2
@@ -202,7 +202,7 @@ class TestAoP0:
     def test_trace_monotone_and_constraints(self):
         for seed in range(5):
             sc = make_scenario(n_tx=4, n_rx=6, n_rf_tx=1, n_rf_rx=3, seed=seed)
-            rep = ao_p0(sc)
+            rep = ao_isac(sc)
             t = rep.trace
             assert all(t[i + 1] <= t[i] * (1 + 1e-10) for i in range(len(t) - 1))
             assert rep.power_used <= sc.power + 1e-8
@@ -211,7 +211,7 @@ class TestAoP0:
     def test_fixed_point_per_coordinate_optimality(self):
         sc = make_scenario(n_tx=4, n_rx=4, n_rf_tx=1, n_rf_rx=2, seed=3)
         eng = PcrbEngine(sc)
-        rep = ao_p0(sc, eng, max_outer=300, tol=1e-14)
+        rep = ao_isac(sc, eng, max_outer=300, tol=1e-14)
         des = rep.design
         grid = np.exp(2j * np.pi * np.arange(360) / 360)
         base = eng.pcrb(des)
@@ -236,7 +236,7 @@ class TestAoP0:
         results = {}
         for n_rf_rx in (1, 2, 4):
             sc = make_scenario(n_tx=2, n_rx=4, n_rf_tx=1, n_rf_rx=n_rf_rx, seed=7)
-            results[n_rf_rx] = ao_p0(sc).final_pcrb
+            results[n_rf_rx] = ao_isac(sc).final_pcrb
         assert results[2] <= results[1] * (1 + 1e-10)
         assert results[4] <= results[2] * (1 + 1e-10)
 
@@ -245,7 +245,7 @@ class TestAoP0:
         sc = make_scenario(n_tx=2, n_rx=4, n_rf_tx=1, n_rf_rx=2, seed=11,
                            quadrature_points=512)
         eng = PcrbEngine(sc)
-        rep = ao_p0(sc, eng, restarts=4)
+        rep = ao_isac(sc, eng, restarts=4)
 
         k = 12
         alphabet = np.exp(2j * np.pi * np.arange(k) / k)
